@@ -13,6 +13,7 @@ use crate::AppResponse;
 use sm_core::ShardServer;
 use sm_types::{AppKey, LoadVector, Metric, ReplicaRole, ServerId, ShardId, ShardingSpec, SmError};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// The durable source of truth shared by all servers of the app.
@@ -37,11 +38,20 @@ impl ExternalStore {
         self.data.get(key)
     }
 
-    /// All pairs within `range`, for shard rebuilds.
+    /// All pairs within `range`, in key order, for shard rebuilds.
+    ///
+    /// An ordered range walk: O(log n + matches). An empty or inverted
+    /// range yields nothing (`BTreeMap::range` would panic on it).
     pub fn scan_range(&self, range: &sm_types::KeyRange) -> Vec<(AppKey, Vec<u8>)> {
+        if range.is_empty() {
+            return Vec::new();
+        }
+        let end = match &range.end {
+            Some(end) => Bound::Excluded(end),
+            None => Bound::Unbounded,
+        };
         self.data
-            .iter()
-            .filter(|(k, _)| range.contains(k))
+            .range((Bound::Included(&range.start), end))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
@@ -142,17 +152,21 @@ impl KvServer {
         self.host.wipe();
         self.data.clear();
     }
-}
 
-impl ShardServer for KvServer {
-    fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
-        self.host.add_shard(shard, role)?;
-        // Rebuild the shard's soft state from the external store.
+    /// Rebuilds `shard`'s cached data from the external store.
+    fn rebuild(&mut self, shard: ShardId) {
         let rebuilt = match self.spec.range_of(shard) {
             Some(range) => self.external.borrow().scan_range(range),
             None => Vec::new(),
         };
         self.data.insert(shard, rebuilt.into_iter().collect());
+    }
+}
+
+impl ShardServer for KvServer {
+    fn add_shard(&mut self, shard: ShardId, role: ReplicaRole) -> Result<(), SmError> {
+        self.host.add_shard(shard, role)?;
+        self.rebuild(shard);
         Ok(())
     }
 
@@ -179,11 +193,7 @@ impl ShardServer for KvServer {
     ) -> Result<(), SmError> {
         self.host.prepare_add_shard(shard, current_owner, role)?;
         // Warm the cache ahead of the handover.
-        let rebuilt = match self.spec.range_of(shard) {
-            Some(range) => self.external.borrow().scan_range(range),
-            None => Vec::new(),
-        };
-        self.data.insert(shard, rebuilt.into_iter().collect());
+        self.rebuild(shard);
         Ok(())
     }
 
@@ -215,6 +225,7 @@ impl ShardServer for KvServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_types::KeyRange;
     use std::cell::RefCell;
 
     fn setup() -> (KvServer, Rc<RefCell<ExternalStore>>, Rc<ShardingSpec>) {
@@ -232,6 +243,69 @@ mod tests {
         let shard = spec.shard_for(&key).unwrap();
         srv.add_shard(shard, ReplicaRole::Primary).unwrap();
         assert_eq!(srv.get(shard, &key), Some(b"v".to_vec()));
+    }
+
+    /// The whole-store filter `scan_range` replaced, as the reference.
+    fn filter_scan(store: &ExternalStore, range: &KeyRange) -> Vec<(AppKey, Vec<u8>)> {
+        store
+            .data
+            .iter()
+            .filter(|(k, _)| range.contains(k))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn scan_range_matches_the_whole_store_filter() {
+        let mut store = ExternalStore::new();
+        // Variable-length keys sharing prefixes, plus fixed-width u64s.
+        let raw: [&[u8]; 9] = [
+            b"", b"a", b"ab", b"ab\0", b"abc", b"abd", b"b", b"ba", b"\xff",
+        ];
+        let mut keys: Vec<AppKey> = raw.iter().map(|k| AppKey::new(k.to_vec())).collect();
+        keys.extend([0u64, 7, 8, 9, u64::MAX].map(AppKey::from_u64));
+        for (i, k) in keys.iter().enumerate() {
+            store.put(k.clone(), vec![i as u8]);
+        }
+        let k = |b: &[u8]| AppKey::new(b.to_vec());
+        let ranges = [
+            // Bounded, with stored keys exactly at both bounds.
+            KeyRange::new(k(b"ab"), k(b"abd")),
+            KeyRange::new(AppKey::from_u64(7), AppKey::from_u64(9)),
+            // Bounds between stored keys and around prefixes.
+            KeyRange::new(k(b"a\0"), k(b"ab\0\0")),
+            KeyRange::new(k(b"abc\0"), k(b"b\0")),
+            // Unbounded ends.
+            KeyRange::from(k(b"abc")),
+            KeyRange::from(AppKey::from_u64(9)),
+            KeyRange::full(),
+            // Empty (start == end) and inverted.
+            KeyRange::new(k(b"ab"), k(b"ab")),
+            KeyRange::new(k(b"b"), k(b"a")),
+            KeyRange::new(AppKey::from_u64(9), AppKey::from_u64(7)),
+        ];
+        let check = |range: &KeyRange| {
+            assert_eq!(
+                store.scan_range(range),
+                filter_scan(&store, range),
+                "{range:?}"
+            );
+        };
+        ranges.iter().for_each(check);
+        // Every pair of stored keys as bounds, in both orders.
+        for a in &keys {
+            for b in &keys {
+                check(&KeyRange::new(a.clone(), b.clone()));
+            }
+            check(&KeyRange::from(a.clone()));
+        }
+        assert_eq!(
+            store.scan_range(&KeyRange::new(k(b"ab"), k(b"abd"))).len(),
+            3
+        );
+        assert!(store
+            .scan_range(&KeyRange::new(k(b"b"), k(b"a")))
+            .is_empty());
     }
 
     #[test]

@@ -763,13 +763,7 @@ impl Orchestrator {
                             role: m.role,
                         }
             }
-            Phase::Drop => {
-                let drop_target = match m.kind {
-                    MigrationKind::AbruptMove if m.phase == Phase::Drop => m.from,
-                    _ => m.from,
-                };
-                Some(server) == drop_target && rpc == ServerRpc::DropShard { shard: m.shard }
-            }
+            Phase::Drop => Some(server) == m.from && rpc == ServerRpc::DropShard { shard: m.shard },
         }) else {
             return;
         };
@@ -1105,79 +1099,94 @@ impl Orchestrator {
         if let Some(e) = self.servers.get_mut(&server) {
             e.draining = true;
         }
-        let victims: Vec<(ShardId, sm_types::ReplicaRole)> = self
-            .assignment
-            .shards_on(server)
-            .into_iter()
-            .filter(|(shard, _)| !self.migrations.iter().any(|m| m.shard == *shard))
-            .collect();
-        let mut moves = Vec::new();
-        // Track hypothetical extra load per target so consecutive picks
-        // spread rather than pile onto one cold server.
-        let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
-        for (shard, _) in &victims {
-            let load = self
-                .loads
-                .get(shard)
-                .copied()
-                .unwrap_or_else(default_shard_load);
-            let target = self.pick_drain_target(*shard, &extra, &load);
-            let Some(target) = target else { continue };
-            *extra.entry(target).or_insert_with(LoadVector::zero) += load;
-            moves.push(ReplicaMove {
-                shard: *shard,
-                replica: 0,
-                from: Some(server),
-                to: target,
-            });
-        }
+        let moves = self.plan_drain(server);
         let n = moves.len();
         self.install_plan(moves);
         n
     }
 
-    fn pick_drain_target(
-        &self,
-        shard: ShardId,
-        extra: &BTreeMap<ServerId, LoadVector>,
-        load: &LoadVector,
-    ) -> Option<ServerId> {
-        let hosts: Vec<ServerId> = self
-            .assignment
-            .replicas(shard)
-            .iter()
-            .map(|r| r.server)
-            .collect();
-        self.servers
-            .iter()
-            .filter(|(id, e)| e.alive && !e.draining && !hosts.contains(id))
-            .filter(|(id, e)| {
-                // Honor capacity where configured.
-                let mut usage = self.usage_of(**id);
-                if let Some(x) = extra.get(id) {
-                    usage += *x;
-                }
-                usage += *load;
-                usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
-            })
-            .min_by(|(a, ea), (b, eb)| {
-                let ua = self.usage_of(**a).max_utilization(&ea.capacity);
-                let ub = self.usage_of(**b).max_utilization(&eb.capacity);
-                ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(id, _)| *id)
+    /// One move per replica on `server` that is not already migrating,
+    /// each to a greedily picked target. Every pick reads one usage
+    /// table built up front, so planning costs O(replicas + victims ×
+    /// servers) instead of a cluster walk per candidate.
+    fn plan_drain(&self, server: ServerId) -> Vec<ReplicaMove> {
+        let usage = self.usage_table();
+        let mut moves = Vec::new();
+        // Track hypothetical extra load per target so consecutive picks
+        // spread rather than pile onto one cold server.
+        let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+        for (shard, _) in self.assignment.shards_on(server) {
+            if self.migrations.iter().any(|m| m.shard == shard) {
+                continue;
+            }
+            let load = self
+                .loads
+                .get(&shard)
+                .copied()
+                .unwrap_or_else(default_shard_load);
+            let hosts: Vec<ServerId> = self
+                .assignment
+                .replicas(shard)
+                .iter()
+                .map(|r| r.server)
+                .collect();
+            let Some(target) = self.pick_target(&usage, &hosts, &extra, &load) else {
+                continue;
+            };
+            *extra.entry(target).or_insert_with(LoadVector::zero) += load;
+            moves.push(ReplicaMove {
+                shard,
+                replica: 0,
+                from: Some(server),
+                to: target,
+            });
+        }
+        moves
     }
 
-    fn usage_of(&self, server: ServerId) -> LoadVector {
-        let mut usage = LoadVector::zero();
-        for (shard, _) in self.assignment.shards_on(server) {
-            usage += self
+    /// Every server's summed shard load, from one pass over the
+    /// assignment. Each server's sum adds its shards in ascending shard
+    /// order, as a walk over that server alone would, so the floats —
+    /// and the picks they decide — are bit-identical to per-server sums.
+    fn usage_table(&self) -> BTreeMap<ServerId, LoadVector> {
+        let mut usage: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+        for (shard, r) in self.assignment.iter() {
+            *usage.entry(r.server).or_insert_with(LoadVector::zero) += self
                 .loads
                 .get(&shard)
                 .copied()
                 .unwrap_or_else(default_shard_load);
         }
         usage
+    }
+
+    /// The target for `load` among live, non-draining servers outside
+    /// `exclude` that fit it on top of their `usage` plus the `extra`
+    /// already planned onto them (a zero capacity is unlimited). The
+    /// least max-utilisation of the committed usage wins; ties go to the
+    /// lowest `ServerId`.
+    fn pick_target(
+        &self,
+        usage: &BTreeMap<ServerId, LoadVector>,
+        exclude: &[ServerId],
+        extra: &BTreeMap<ServerId, LoadVector>,
+        load: &LoadVector,
+    ) -> Option<ServerId> {
+        self.servers
+            .iter()
+            .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
+            .filter_map(|(id, e)| {
+                let committed = usage.get(id).copied().unwrap_or_else(LoadVector::zero);
+                let mut planned = committed;
+                if let Some(x) = extra.get(id) {
+                    planned += *x;
+                }
+                planned += *load;
+                let fits = planned.fits_within(&e.capacity) || e.capacity == LoadVector::zero();
+                fits.then(|| (*id, committed.max_utilization(&e.capacity)))
+            })
+            .min_by(|(_, ua), (_, ub)| ua.partial_cmp(ub).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(id, _)| id)
     }
 
     /// True once `server` hosts nothing and no migration still involves
@@ -1446,14 +1455,15 @@ impl Orchestrator {
             .copied()
             .unwrap_or_else(default_shard_load)
             .scale(0.5);
+        let usage = self.usage_table();
         let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
         let no_target = || SmError::Unavailable("no server can host a split child".into());
         let left_to = self
-            .pick_scale_target(&[parent_primary], &extra, &half)
+            .pick_target(&usage, &[parent_primary], &extra, &half)
             .ok_or_else(no_target)?;
         extra.insert(left_to, half);
         let right_to = self
-            .pick_scale_target(&[parent_primary], &extra, &half)
+            .pick_target(&usage, &[parent_primary], &extra, &half)
             .ok_or_else(no_target)?;
         let left = self.mint_shard_id();
         let right = self.mint_shard_id();
@@ -1531,7 +1541,12 @@ impl Orchestrator {
             .copied()
             .unwrap_or_else(default_shard_load);
         let target_to = self
-            .pick_scale_target(&[left_primary, right_primary], &BTreeMap::new(), &combined)
+            .pick_target(
+                &self.usage_table(),
+                &[left_primary, right_primary],
+                &BTreeMap::new(),
+                &combined,
+            )
             .ok_or_else(|| SmError::Unavailable("no server can host the merged shard".into()))?;
         let target = self.mint_shard_id();
         self.loads.insert(target, combined);
@@ -1606,33 +1621,6 @@ impl Orchestrator {
         let id = ShardId(self.next_shard_id);
         self.next_shard_id += 1;
         id
-    }
-
-    /// Drain-style target pick for shards entering the spec, excluding
-    /// the servers already involved in the op.
-    fn pick_scale_target(
-        &self,
-        exclude: &[ServerId],
-        extra: &BTreeMap<ServerId, LoadVector>,
-        load: &LoadVector,
-    ) -> Option<ServerId> {
-        self.servers
-            .iter()
-            .filter(|(id, e)| e.alive && !e.draining && !exclude.contains(id))
-            .filter(|(id, e)| {
-                let mut usage = self.usage_of(**id);
-                if let Some(x) = extra.get(id) {
-                    usage += *x;
-                }
-                usage += *load;
-                usage.fits_within(&e.capacity) || e.capacity == LoadVector::zero()
-            })
-            .min_by(|(a, ea), (b, eb)| {
-                let ua = self.usage_of(**a).max_utilization(&ea.capacity);
-                let ub = self.usage_of(**b).max_utilization(&eb.capacity);
-                ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(id, _)| *id)
     }
 
     /// Matches an ack against in-flight scale ops and advances the
@@ -2477,6 +2465,109 @@ mod tests {
             assert_eq!(o.drain_server(empty), 0);
             assert!(o.is_drained(empty));
         }
+    }
+
+    /// The drain pick by brute force: every candidate's usage is a walk
+    /// over the whole assignment, and a strictly smaller utilisation is
+    /// needed to displace an earlier (lower-id) candidate. Counts the
+    /// candidates that lost for not fitting and the utilisation ties.
+    fn reference_pick(
+        o: &Orchestrator,
+        shard: ShardId,
+        extra: &BTreeMap<ServerId, LoadVector>,
+        load: &LoadVector,
+        unfit: &mut usize,
+        ties: &mut usize,
+    ) -> Option<ServerId> {
+        let mut best: Option<(f64, ServerId)> = None;
+        for (&id, e) in &o.servers {
+            let hosts = o.assignment.replicas(shard).iter().any(|r| r.server == id);
+            if !e.alive || e.draining || hosts {
+                continue;
+            }
+            let mut usage = LoadVector::zero();
+            for (s, r) in o.assignment.iter() {
+                if r.server == id {
+                    usage += o.loads.get(&s).copied().unwrap_or_else(default_shard_load);
+                }
+            }
+            let planned = usage + extra.get(&id).copied().unwrap_or_else(LoadVector::zero) + *load;
+            if !planned.fits_within(&e.capacity) && e.capacity != LoadVector::zero() {
+                *unfit += 1;
+                continue;
+            }
+            let u = usage.max_utilization(&e.capacity);
+            match best {
+                Some((b, _)) if u == b => *ties += 1,
+                Some((b, _)) if u > b => {}
+                _ => best = Some((u, id)),
+            }
+        }
+        best.map(|(_, id)| id)
+    }
+
+    #[test]
+    fn drain_picks_match_a_brute_force_reference() {
+        // Unequal capacities over two metrics, unequal shard loads, a
+        // dead server and a draining one.
+        let mut o = Orchestrator::new(AppId(1), AppPolicy::primary_secondary(1), config());
+        for i in 0..12u32 {
+            let mut c = LoadVector::zero();
+            c.set(Metric::ShardCount.id(), f64::from(11 + 2 * (i % 3)));
+            c.set(Metric::Cpu.id(), f64::from(30 + (i * 7) % 13));
+            o.register_server(ServerId(i), loc(0, i), c);
+        }
+        let mut snapshot = String::from("smorch v1\nversion 1\n");
+        for s in 0..72u64 {
+            let p = (s * 7) % 12;
+            let q = (p + 1 + s % 5) % 12;
+            snapshot += &format!("desired {s} 2\nreplica {s} {p} P\nreplica {s} {q} S\n");
+        }
+        o.restore(snapshot.as_bytes()).unwrap();
+        let loads = (0..72u64)
+            .map(|s| {
+                let mut v = LoadVector::zero();
+                v.set(Metric::ShardCount.id(), 1.0);
+                v.set(Metric::Cpu.id(), 0.5 * ((s * 13) % 7) as f64);
+                (ShardId(s), v)
+            })
+            .collect();
+        o.report_load(ServerId(0), loads);
+        o.servers.get_mut(&ServerId(3)).unwrap().alive = false;
+        o.servers.get_mut(&ServerId(5)).unwrap().draining = true;
+
+        let (mut unfit, mut ties, mut picked, mut unplaced) = (0, 0, 0, 0);
+        for victim in (0..12).map(ServerId) {
+            let was_draining = o.servers[&victim].draining;
+            o.servers.get_mut(&victim).unwrap().draining = true;
+            let plan = o.plan_drain(victim);
+            let mut expected = Vec::new();
+            let mut extra: BTreeMap<ServerId, LoadVector> = BTreeMap::new();
+            for (shard, _) in o.assignment.shards_on(victim) {
+                let load = o.loads[&shard];
+                match reference_pick(&o, shard, &extra, &load, &mut unfit, &mut ties) {
+                    Some(to) => {
+                        *extra.entry(to).or_insert_with(LoadVector::zero) += load;
+                        expected.push(ReplicaMove {
+                            shard,
+                            replica: 0,
+                            from: Some(victim),
+                            to,
+                        });
+                    }
+                    None => unplaced += 1,
+                }
+            }
+            assert_eq!(plan, expected, "drain of {victim}");
+            picked += plan.len();
+            o.servers.get_mut(&victim).unwrap().draining = was_draining;
+        }
+        // The reference exercised every branch it decides on.
+        assert!(picked > 100, "{picked} picks");
+        assert!(
+            unfit > 0 && ties > 0 && unplaced > 0,
+            "{unfit} {ties} {unplaced}"
+        );
     }
 
     #[test]

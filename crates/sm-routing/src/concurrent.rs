@@ -40,7 +40,7 @@
 //! keeps every parked core with tag ≥ `e` alive. Freeing tags below
 //! `min_pinned` can therefore never free a core a reader still holds.
 
-use crate::resolved::ResolvedMap;
+use crate::resolved::{ResolvedMap, SpecColumns};
 use crate::router::RouteDecision;
 use sm_types::{AppId, AppKey, ShardId, ShardMap, ShardingSpec, SmError};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
@@ -63,7 +63,9 @@ struct ReaderSlot {
 /// One app's installed state inside a core snapshot.
 struct AppEntry {
     app: AppId,
-    spec: Option<Arc<ShardingSpec>>,
+    /// The registered spec's range columns, shared by every kernel
+    /// built under that spec.
+    columns: Option<Arc<SpecColumns>>,
     raw: Option<Arc<ShardMap>>,
     resolved: Option<Arc<ResolvedMap>>,
 }
@@ -166,11 +168,13 @@ impl ConcurrentRouter {
         )))
     }
 
-    /// Registers (or replaces) `app`'s sharding spec; an already
-    /// installed map is re-resolved against the new spec.
+    /// Registers (or replaces) `app`'s sharding spec — also how a split
+    /// or merge reaches the router. The spec's range columns are built
+    /// here, once, and an already installed map is re-resolved against
+    /// them.
     pub fn register_app(&self, app: AppId, spec: ShardingSpec) {
+        let columns = Arc::new(SpecColumns::build(&spec));
         let mut w = self.writer_guard();
-        let spec = Arc::new(spec);
         let mut apps = self.clone_apps_locked();
         let idx = apps.partition_point(|e| e.app < app);
         match apps.get_mut(idx) {
@@ -178,14 +182,14 @@ impl ConcurrentRouter {
                 entry.resolved = entry
                     .raw
                     .as_ref()
-                    .map(|m| Arc::new(ResolvedMap::build(Some(&spec), m)));
-                entry.spec = Some(spec);
+                    .map(|m| Arc::new(ResolvedMap::with_columns(Some(Arc::clone(&columns)), m)));
+                entry.columns = Some(columns);
             }
             _ => apps.insert(
                 idx,
                 AppEntry {
                     app,
-                    spec: Some(spec),
+                    columns: Some(columns),
                     raw: None,
                     resolved: None,
                 },
@@ -194,7 +198,9 @@ impl ConcurrentRouter {
         self.publish_locked(&mut w, RouterCore { apps });
     }
 
-    /// Installs a shard map for `app`, rebuilding its resolution kernel.
+    /// Installs a shard map for `app`, rebuilding its resolution kernel
+    /// over the registered spec's shared columns: a constant number of
+    /// allocations, whatever the shard count.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
     /// map at the same or a newer version — stale disseminations are
@@ -212,16 +218,19 @@ impl ConcurrentRouter {
                 {
                     return false;
                 }
-                entry.resolved = Some(Arc::new(ResolvedMap::build(entry.spec.as_deref(), &map)));
+                entry.resolved = Some(Arc::new(ResolvedMap::with_columns(
+                    entry.columns.clone(),
+                    &map,
+                )));
                 entry.raw = Some(Arc::new(map));
             }
             _ => {
-                let resolved = Some(Arc::new(ResolvedMap::build(None, &map)));
+                let resolved = Some(Arc::new(ResolvedMap::with_columns(None, &map)));
                 apps.insert(
                     idx,
                     AppEntry {
                         app,
-                        spec: None,
+                        columns: None,
                         raw: Some(Arc::new(map)),
                         resolved,
                     },
@@ -271,7 +280,7 @@ impl ConcurrentRouter {
         for e in core.apps.iter() {
             out.push(AppEntry {
                 app: e.app,
-                spec: e.spec.clone(),
+                columns: e.columns.clone(),
                 raw: e.raw.clone(),
                 resolved: e.resolved.clone(),
             });
@@ -338,7 +347,7 @@ impl ConcurrentRouter {
         let out = CachedApp {
             app,
             stamp,
-            registered: entry.is_some_and(|e| e.spec.is_some()),
+            registered: entry.is_some_and(|e| e.columns.is_some()),
             resolved: entry.and_then(|e| e.resolved.clone()),
         };
         pin.pinned.store(IDLE, Ordering::Release);

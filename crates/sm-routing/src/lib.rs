@@ -30,5 +30,5 @@ pub mod router;
 pub use concurrent::{ConcurrentRouter, RouterHandle};
 pub use discovery::{DiscoveryService, SubscriberId};
 pub use hashing::{ConsistentHashRing, StaticSharding};
-pub use resolved::ResolvedMap;
+pub use resolved::{ResolvedMap, SpecColumns};
 pub use router::{RouteDecision, ServiceRouter};

@@ -9,6 +9,11 @@
 //! so the common `route(key)` path is **one** binary search plus two
 //! array reads — no `BTreeMap` walk, no allocation, no locking.
 //!
+//! The range columns depend on the spec alone, so they live apart in
+//! [`SpecColumns`], built once per spec and shared by `Arc` across the
+//! kernels of every map installed under it: an install builds only the
+//! slot column and the replica table, and clones no key.
+//!
 //! Both [`crate::ServiceRouter`] (single-threaded, DES worlds) and
 //! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
 //! route through this kernel, so the deterministic oracles exercise the
@@ -16,6 +21,7 @@
 
 use crate::router::RouteDecision;
 use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
+use std::sync::Arc;
 
 /// Sentinel slot for "this range's shard is absent from the map".
 const NO_SLOT: u32 = u32::MAX;
@@ -33,15 +39,14 @@ fn prefix64(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(out)
 }
 
-/// One app's sharding spec and shard map, resolved into flat sorted
-/// columns for allocation-free, lock-free-read routing.
+/// A sharding spec resolved into flat sorted columns: the key → range
+/// half of a [`ResolvedMap`].
+///
+/// It depends on the spec alone, so it is built once per spec
+/// registration and shared by `Arc` across every map installed under
+/// that spec; a map install then clones no key.
 #[derive(Clone, Debug, Default)]
-pub struct ResolvedMap {
-    /// The shard-map version this kernel was built from.
-    version: u64,
-    /// Whether a sharding spec was available at build time (key routing
-    /// needs one; shard-direct routing does not).
-    has_spec: bool,
+pub struct SpecColumns {
     /// 8-byte big-endian prefixes of `starts`, the binary-search
     /// fast column.
     starts_p64: Vec<u64>,
@@ -51,74 +56,38 @@ pub struct ResolvedMap {
     ends: Vec<Option<AppKey>>,
     /// Owning shard of each range.
     range_shards: Vec<ShardId>,
-    /// Precomputed dense slot of each range's shard ([`NO_SLOT`] when
-    /// the shard is not in the map).
-    range_slots: Vec<u32>,
-    /// Shard → replica-set table.
-    table: DenseShardTable,
 }
 
-impl ResolvedMap {
-    /// Resolves `spec` (if known) against `map` into the dense form.
-    ///
-    /// Cost is O(ranges + shards); it is paid once per installed map
-    /// version, off the read path.
-    pub fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
-        let table = DenseShardTable::from_map(map);
-        let ranges = spec.map(|s| s.shard_count()).unwrap_or(0);
+impl SpecColumns {
+    /// Resolves `spec` into columns. Cost is O(ranges), paid once per
+    /// spec, off the read path.
+    pub fn build(spec: &ShardingSpec) -> Self {
+        let ranges = spec.shard_count();
         let mut out = Self {
-            version: map.version,
-            has_spec: spec.is_some(),
             starts_p64: Vec::with_capacity(ranges),
             starts: Vec::with_capacity(ranges),
             ends: Vec::with_capacity(ranges),
             range_shards: Vec::with_capacity(ranges),
-            range_slots: Vec::with_capacity(ranges),
-            table,
         };
-        if let Some(spec) = spec {
-            // `ShardingSpec::iter` yields ranges sorted by start, so
-            // the columns come out sorted without another sort pass.
-            for (range, shard) in spec.iter() {
-                out.starts_p64.push(prefix64(&range.start.0));
-                out.starts.push(range.start.clone());
-                out.ends.push(range.end.clone());
-                out.range_shards.push(*shard);
-                let slot = match out.table.slot_of(*shard) {
-                    Some(s) => s as u32,
-                    None => NO_SLOT,
-                };
-                out.range_slots.push(slot);
-            }
+        // `ShardingSpec::iter` yields ranges sorted by start, so the
+        // columns come out sorted without another sort pass.
+        for (range, shard) in spec.iter() {
+            out.starts_p64.push(prefix64(&range.start.0));
+            out.starts.push(range.start.clone());
+            out.ends.push(range.end.clone());
+            out.range_shards.push(*shard);
         }
         out
     }
 
-    /// The shard-map version this kernel resolves.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Whether key → shard resolution is available (a spec was known
-    /// at build time).
-    pub fn has_spec(&self) -> bool {
-        self.has_spec
-    }
-
-    /// The dense shard → replica-set table (for nearest-replica and
-    /// other whole-replica-set policies).
-    pub fn table(&self) -> &DenseShardTable {
-        &self.table
-    }
-
-    /// Index of the range containing `key`, or `None` when the key
-    /// falls in a gap (or no spec was available).
+    /// Index and owning shard of the range containing `key`, or `None`
+    /// when the key falls in a gap.
     ///
     /// `partition_point`-style binary search over the start column:
     /// the prefix column decides all but prefix-tied comparisons with
     /// one branchless `u64` compare each.
     // sm-lint: hot-path
-    fn covering_range(&self, key: &AppKey) -> Option<usize> {
+    fn covering_range(&self, key: &AppKey) -> Option<(usize, ShardId)> {
         let kp = prefix64(&key.0);
         let mut lo = 0usize;
         let mut hi = self.starts.len();
@@ -142,16 +111,85 @@ impl ResolvedMap {
         let idx = lo.checked_sub(1)?;
         match self.ends.get(idx)? {
             Some(end) if key >= end => None,
-            _ => Some(idx),
+            _ => Some((idx, *self.range_shards.get(idx)?)),
         }
+    }
+}
+
+/// One app's shard map resolved against its (shared) spec columns for
+/// allocation-free, lock-free-read routing.
+#[derive(Clone, Debug, Default)]
+pub struct ResolvedMap {
+    /// The shard-map version this kernel was built from.
+    version: u64,
+    /// The spec's range columns, when a spec was available at build
+    /// time (key routing needs one; shard-direct routing does not).
+    columns: Option<Arc<SpecColumns>>,
+    /// Precomputed dense slot of each range's shard ([`NO_SLOT`] when
+    /// the shard is not in the map), parallel to the columns.
+    range_slots: Vec<u32>,
+    /// Shard → replica-set table.
+    table: DenseShardTable,
+}
+
+impl ResolvedMap {
+    /// Resolves `spec` (if known) against `map` into the dense form.
+    ///
+    /// Cost is O(ranges + shards) and clones every range key; routers
+    /// that install many maps under one spec use
+    /// [`Self::with_columns`] instead.
+    pub fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
+        Self::with_columns(spec.map(|s| Arc::new(SpecColumns::build(s))), map)
+    }
+
+    /// Resolves `map` against already-built spec columns. Cost is
+    /// O(ranges + shards) with a constant number of allocations: the
+    /// slot column and the dense table. Paid once per installed map
+    /// version, off the read path.
+    pub fn with_columns(columns: Option<Arc<SpecColumns>>, map: &ShardMap) -> Self {
+        let table = DenseShardTable::from_map(map);
+        let range_slots = match &columns {
+            Some(cols) => cols
+                .range_shards
+                .iter()
+                .map(|shard| match table.slot_of(*shard) {
+                    Some(s) => s as u32,
+                    None => NO_SLOT,
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        Self {
+            version: map.version,
+            columns,
+            range_slots,
+            table,
+        }
+    }
+
+    /// The shard-map version this kernel resolves.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Whether key → shard resolution is available (a spec was known
+    /// at build time).
+    pub fn has_spec(&self) -> bool {
+        self.columns.is_some()
+    }
+
+    /// The dense shard → replica-set table (for nearest-replica and
+    /// other whole-replica-set policies).
+    pub fn table(&self) -> &DenseShardTable {
+        &self.table
     }
 
     /// Resolves the shard owning `key`, or `None` for gap keys / no
     /// spec.
     // sm-lint: hot-path
     pub fn shard_for(&self, key: &AppKey) -> Option<ShardId> {
-        let idx = self.covering_range(key)?;
-        self.range_shards.get(idx).copied()
+        let (_, shard) = self.columns.as_deref()?.covering_range(key)?;
+        Some(shard)
     }
 
     /// Routes `key` preferring the shard's primary; secondary-only
@@ -161,17 +199,10 @@ impl ResolvedMap {
     /// reads — no allocation on any path.
     // sm-lint: hot-path
     pub fn route(&self, key: &AppKey, rr_cursor: &mut u64) -> Result<RouteDecision, SmError> {
-        let idx = match self.covering_range(key) {
-            Some(i) => i,
-            None => {
-                return Err(SmError::not_found(format!("no shard covers key {key}")));
-            }
+        let covering = self.columns.as_deref().and_then(|c| c.covering_range(key));
+        let Some((idx, shard)) = covering else {
+            return Err(SmError::not_found(format!("no shard covers key {key}")));
         };
-        let shard = self
-            .range_shards
-            .get(idx)
-            .copied()
-            .ok_or_else(|| SmError::Unavailable("resolved columns out of sync".to_string()))?;
         let slot = self.range_slots.get(idx).copied().unwrap_or(NO_SLOT);
         if slot == NO_SLOT {
             return Err(SmError::Unavailable(format!(

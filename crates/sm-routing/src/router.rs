@@ -14,11 +14,12 @@
 //! worlds therefore oracle-check the exact code the threaded bench
 //! measures.
 
-use crate::resolved::ResolvedMap;
+use crate::resolved::{ResolvedMap, SpecColumns};
 use sm_sim::LatencyModel;
 use sm_types::{AppId, AppKey, RegionId, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Where a request should go.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,6 +37,9 @@ pub struct RouteDecision {
 #[derive(Debug, Default)]
 pub struct ServiceRouter {
     specs: BTreeMap<AppId, ShardingSpec>,
+    /// Each registered spec's range columns, built once per
+    /// registration and shared by every kernel resolved under it.
+    columns: BTreeMap<AppId, Arc<SpecColumns>>,
     maps: BTreeMap<AppId, Rc<ShardMap>>,
     /// Per-app resolution kernels, rebuilt on spec/map changes.
     resolved: BTreeMap<AppId, Rc<ResolvedMap>>,
@@ -53,10 +57,12 @@ impl ServiceRouter {
 
     /// Registers an app's (app-defined) sharding spec.
     pub fn register_app(&mut self, app: AppId, spec: ShardingSpec) {
+        let columns = Arc::new(SpecColumns::build(&spec));
         if let Some(map) = self.maps.get(&app) {
-            self.resolved
-                .insert(app, Rc::new(ResolvedMap::build(Some(&spec), map)));
+            let resolved = ResolvedMap::with_columns(Some(Arc::clone(&columns)), map);
+            self.resolved.insert(app, Rc::new(resolved));
         }
+        self.columns.insert(app, columns);
         self.specs.insert(app, spec);
     }
 
@@ -76,8 +82,9 @@ impl ServiceRouter {
         match self.maps.get(&app) {
             Some(existing) if map.version <= existing.version => false,
             _ => {
+                let columns = self.columns.get(&app).cloned();
                 self.resolved
-                    .insert(app, Rc::new(ResolvedMap::build(self.specs.get(&app), &map)));
+                    .insert(app, Rc::new(ResolvedMap::with_columns(columns, &map)));
                 self.maps.insert(app, map);
                 true
             }

@@ -58,6 +58,9 @@ cargo test --test split -q
 step "bench gates (recorded router + simulator floors)"
 cargo test --test bench_router --test bench_sim -q
 
+step "scaling gates (drain planning ratio, allocations per map install)"
+cargo test --test drain_scaling --test install_allocs -q
+
 step "queue differential gate (calendar vs heap, byte-identical runs)"
 cargo test --release --test sim_queue_diff -q
 
