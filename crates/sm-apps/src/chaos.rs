@@ -33,17 +33,16 @@
 //! same seed and plan, byte-identical trace.
 
 use crate::kv::{ExternalStore, KvServer};
+use crate::world::{loc, DstConfig, FaultWorld, Kernel, Report, RpcEvent, RpcHost};
 use crate::AppResponse;
 use sm_allocator::{AllocConfig, MoveCaps};
 use sm_core::ha::{paths, HaControlPlane, HaStats, SelfFenceTimer, ServerLease};
-use sm_core::{ApplicationManager, OrchCommand, OrchestratorConfig, Partition, ServerRpc};
+use sm_core::{ApplicationManager, OrchCommand, OrchestratorConfig, Partition};
 use sm_sim::faults::{fault_plan, Fault, FaultPlanConfig, FaultProfile};
-use sm_sim::net::{Endpoint, NetStats, SimNet};
-use sm_sim::oracle::{Oracle, OracleViolation};
-use sm_sim::{Ctx, LatencyModel, QueueKind, SimDuration, SimTime, Simulation, TraceLog, World};
+use sm_sim::net::Endpoint;
+use sm_sim::{Ctx, SimDuration, SimTime, World};
 use sm_types::{
-    AppId, AppKey, AppPolicy, LoadVector, Location, MachineId, Metric, MiniSmId, RegionId,
-    ServerId, ShardId, ShardingSpec,
+    AppId, AppKey, AppPolicy, LoadVector, Metric, MiniSmId, ServerId, ShardId, ShardingSpec,
 };
 use sm_zk::{WatchEvent, ZkStore};
 use std::cell::RefCell;
@@ -88,9 +87,6 @@ pub struct ChaosConfig {
     pub self_fence_timeout: SimDuration,
     /// ZooKeeper expires a session after this long without heartbeats.
     pub zk_session_timeout: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this long
-    /// and treats it as failed.
-    pub rpc_timeout: SimDuration,
     /// Client keys are drawn from `0..key_space` so reads exercise
     /// previously-written keys; `0` means the full u64 space (the PR 3
     /// traffic shape).
@@ -120,7 +116,6 @@ impl ChaosConfig {
             heartbeat_interval: SimDuration::from_secs(1),
             self_fence_timeout: SimDuration::from_secs(5),
             zk_session_timeout: SimDuration::from_secs(8),
-            rpc_timeout: SimDuration::from_secs(2),
             key_space: 0,
             disable_self_fencing: false,
         }
@@ -145,7 +140,6 @@ impl ChaosConfig {
             heartbeat_interval: SimDuration::from_secs(1),
             self_fence_timeout: SimDuration::from_secs(5),
             zk_session_timeout: SimDuration::from_secs(8),
-            rpc_timeout: SimDuration::from_secs(2),
             key_space: 512,
             disable_self_fencing: false,
         }
@@ -191,36 +185,13 @@ pub enum ChaosEvent {
         /// The request, attempts already incremented.
         req: Req,
     },
-    /// A control-plane RPC reaches its server.
-    RpcSend {
-        /// Correlation id for timeout/duplicate handling.
-        id: u64,
-        /// Target server.
-        server: ServerId,
-        /// The RPC payload.
-        rpc: ServerRpc,
-    },
-    /// The server's ack (or failure) reaches the control plane.
-    RpcResult {
-        /// Correlation id; late or duplicate results are ignored.
-        id: u64,
-        /// Answering server.
-        server: ServerId,
-        /// The RPC being answered.
-        rpc: ServerRpc,
-        /// Whether the server applied it.
-        ok: bool,
-    },
-    /// The control plane gives up on an unanswered RPC.
-    RpcTimeout {
-        /// Correlation id; a no-op if the result already arrived.
-        id: u64,
-    },
+    /// A control-plane RPC, its answer, or its give-up timer.
+    Rpc(RpcEvent),
     /// A ZooKeeper watch notification is delivered (ordered session
     /// channel: never dropped, never reordered).
     ZkNotify(WatchEvent),
-    /// The i-th entry of the fault plan fires.
-    FaultHit(usize),
+    /// A fault-plan entry fires.
+    FaultHit(Fault),
     /// Clients re-read the shard map (service discovery refresh).
     RouterRefresh,
     /// Server `i` runs its heartbeat step: self-fence check, beat,
@@ -237,8 +208,14 @@ pub enum ChaosEvent {
     RegisterArrive(u32),
 }
 
-/// Counters accumulated over a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+impl From<RpcEvent> for ChaosEvent {
+    fn from(event: RpcEvent) -> Self {
+        ChaosEvent::Rpc(event)
+    }
+}
+
+/// Counters and coverage accumulated over a run.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosStats {
     /// Requests served successfully.
     pub served: u64,
@@ -262,8 +239,17 @@ pub struct ChaosStats {
     pub zk_expiries: u64,
     /// Network partitions injected.
     pub net_partitions: u64,
-    /// Control-plane RPCs that timed out unanswered.
-    pub rpc_timeouts: u64,
+    /// Control-plane counters (failovers, restores, fenced writes).
+    pub ha: HaStats,
+    /// Mini-SM ids crashed at least once.
+    pub crashed_minisms: BTreeSet<u32>,
+    /// Mini-SMs the plan targets — every one that existed at deployment
+    /// (the coverage denominator).
+    pub initial_minisms: usize,
+    /// Server ids whose bare session expiry was injected.
+    pub expired_sessions: BTreeSet<u32>,
+    /// Completed control-plane recoveries, in milliseconds.
+    pub recoveries_ms: Vec<f64>,
 }
 
 /// One application server process: its KV state, its ZK liveness
@@ -281,13 +267,16 @@ struct Host {
     fence: SelfFenceTimer,
 }
 
-impl Host {
-    /// Whether the server would accept work right now, *by its own
-    /// lights*: the process is up and it has not self-fenced. A server
-    /// whose ZK session quietly expired behind a partition still says
-    /// yes — that is the §3.2 hazard self-fencing exists to close.
-    fn serving(&self) -> bool {
-        self.process_up && !self.fenced
+/// A server whose ZK session quietly expired behind a partition still
+/// says it is serving — that is the §3.2 hazard self-fencing exists to
+/// close.
+impl RpcHost for Host {
+    fn up(&self) -> bool {
+        self.process_up
+    }
+
+    fn fenced(&self) -> bool {
+        self.fenced
     }
 }
 
@@ -299,48 +288,20 @@ pub struct ChaosWorld {
     spec: Rc<ShardingSpec>,
     hosts: BTreeMap<ServerId, Host>,
     partitions: Vec<Partition>,
-    plan: Vec<(SimTime, Fault)>,
-    net: SimNet,
-    oracle: Oracle,
     /// Client-visible shard→primary map, refreshed periodically.
     router: BTreeMap<ShardId, ServerId>,
     /// ZooKeeper's view of each server's last heartbeat.
     last_beat: BTreeMap<ServerId, SimTime>,
-    /// Correlation ids of control-plane RPCs awaiting an answer.
-    outstanding: BTreeMap<u64, (ServerId, ServerRpc)>,
-    /// Correlation ids already executed at a server, with the recorded
-    /// outcome. A duplicated request copy must answer from here instead
-    /// of re-dispatching (exactly-once apply per command attempt): a
-    /// late duplicate of an `AddShard` landing after a subsequent
-    /// `DropShard` would otherwise re-create hosting state the
-    /// orchestrator believes is gone.
-    rpc_applied: BTreeMap<u64, bool>,
-    next_rpc: u64,
     next_req: u64,
     /// Monotone write counter: the value stored for every put and the
     /// tag the oracle checks reads against.
     write_tag: u64,
+    /// Net, RPC transport, oracle, fault plan and trace.
+    kernel: Kernel,
     /// Counters.
     pub stats: ChaosStats,
-    /// Recorded time series (placement, traffic, failures).
-    pub trace: TraceLog,
-    /// Mini-SM ids crashed at least once.
-    pub crashed_minisms: BTreeSet<u32>,
-    /// Server ids whose bare session expiry was injected.
-    pub expired_sessions: BTreeSet<u32>,
-    /// Completed control-plane recoveries, in milliseconds.
-    pub recoveries_ms: Vec<f64>,
     /// Start of the oldest unfinished recovery, if any.
     recovering_since: Option<SimTime>,
-}
-
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
-    }
 }
 
 fn orch_config() -> OrchestratorConfig {
@@ -353,28 +314,6 @@ fn orch_config() -> OrchestratorConfig {
 }
 
 impl ChaosWorld {
-    /// Builds the world with its plan derived from the config: the
-    /// covering plan when `cfg.profile` is `None`, the profile's DST
-    /// plan otherwise.
-    pub fn new(cfg: ChaosConfig) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        let n_minisms = world.cp.running_minisms().len() as u32;
-        world.plan = match cfg.profile {
-            None => fault_plan(&FaultPlanConfig::covering(cfg.seed, cfg.servers, n_minisms)),
-            Some(p) => fault_plan(&p.config(cfg.seed, cfg.servers, n_minisms)),
-        };
-        world
-    }
-
-    /// Builds the world with an explicit fault plan — the replay/shrink
-    /// path, where the plan is an edited copy rather than a fresh
-    /// derivation from the seed.
-    pub fn new_with_plan(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        world.plan = plan;
-        world
-    }
-
     /// Control plane, leased servers, deployed partitions. Watch events
     /// raised during setup are delivered synchronously (the world is
     /// not running yet, so there is no one to race with).
@@ -456,7 +395,6 @@ impl ChaosWorld {
             }
         }
 
-        let latency_ms = cfg.rpc_latency.as_millis_f64();
         let last_beat = server_ids.iter().map(|&s| (s, SimTime::ZERO)).collect();
         let mut world = Self {
             cfg,
@@ -465,50 +403,16 @@ impl ChaosWorld {
             spec,
             hosts,
             partitions,
-            plan: Vec::new(),
-            net: SimNet::new(LatencyModel::uniform(1, latency_ms, latency_ms), cfg.seed),
-            oracle: Oracle::new(),
             router: BTreeMap::new(),
             last_beat,
-            outstanding: BTreeMap::new(),
-            rpc_applied: BTreeMap::new(),
-            next_rpc: 0,
             next_req: 0,
             write_tag: 0,
             stats: ChaosStats::default(),
-            trace: TraceLog::new(),
-            crashed_minisms: BTreeSet::new(),
-            expired_sessions: BTreeSet::new(),
-            recoveries_ms: Vec::new(),
+            kernel: Kernel::new(cfg.seed, cfg.rpc_latency, Vec::new()),
             recovering_since: None,
         };
         world.refresh_router();
         world
-    }
-
-    /// Number of mini-SM processes currently running.
-    pub fn running_minisms(&self) -> usize {
-        self.cp.running_minisms().len()
-    }
-
-    /// Control-plane activity counters.
-    pub fn ha_stats(&self) -> HaStats {
-        self.cp.stats()
-    }
-
-    /// The invariant oracle's current state.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
-    }
-
-    /// True when every shard has a primary and no migration is stuck.
-    pub fn converged(&mut self) -> bool {
-        self.cp.fully_placed() && self.cp.in_flight_total() == 0
-    }
-
-    /// Shards currently missing a primary (diagnostics).
-    pub fn unplaced_count(&mut self) -> usize {
-        self.cp.unplaced().len()
     }
 
     fn refresh_router(&mut self) {
@@ -533,27 +437,20 @@ impl ChaosWorld {
     /// channel — a real ZK client's event thread never drops or
     /// reorders notifications while the session lives.
     fn dispatch_zk(&mut self, events: Vec<WatchEvent>, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let delay = self.net.ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
+        let delay = self
+            .kernel
+            .net
+            .ordered_delay(Endpoint::Zk, Endpoint::ControlPlane);
         for event in events {
             ctx.schedule_in(delay, ChaosEvent::ZkNotify(event));
         }
     }
 
-    /// Sends freshly minted orchestrator commands out as RPCs through
-    /// the net, each with a correlation id and a give-up timer.
+    /// Sends freshly minted orchestrator commands out as RPCs.
     fn flush_commands(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
         for (_pid, cmd) in self.cp.take_commands() {
             if let OrchCommand::Rpc { server, rpc } = cmd {
-                self.next_rpc += 1;
-                let id = self.next_rpc;
-                self.outstanding.insert(id, (server, rpc));
-                let t = self
-                    .net
-                    .transmit(Endpoint::ControlPlane, Endpoint::Server(server.raw()));
-                for d in t.copies {
-                    ctx.schedule_in(d, ChaosEvent::RpcSend { id, server, rpc });
-                }
-                ctx.schedule_in(self.cfg.rpc_timeout, ChaosEvent::RpcTimeout { id });
+                self.kernel.rpc.send(&mut self.kernel.net, ctx, server, rpc);
             }
         }
     }
@@ -581,7 +478,7 @@ impl ChaosWorld {
             attempts: 1,
             sent_at: ctx.now(),
         };
-        self.oracle.request_issued(req.id);
+        self.kernel.oracle.request_issued(req.id);
         self.route(req, ctx);
     }
 
@@ -589,7 +486,7 @@ impl ChaosWorld {
     /// transmits it; a message the net eats surfaces as a client-side
     /// timeout and retry.
     fn route(&mut self, req: Req, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
         let Some(target) = self.router.get(&req.shard).copied() else {
@@ -597,6 +494,7 @@ impl ChaosWorld {
             return;
         };
         let t = self
+            .kernel
             .net
             .transmit(Endpoint::Client(req.client), Endpoint::Server(target.raw()));
         if t.copies.is_empty() {
@@ -616,7 +514,7 @@ impl ChaosWorld {
     }
 
     fn fail_or_retry(&mut self, req: Req, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return;
         }
         if req.attempts < self.cfg.max_attempts {
@@ -632,7 +530,7 @@ impl ChaosWorld {
             );
         } else {
             self.stats.dropped += 1;
-            self.oracle.request_dropped(ctx.now(), req.id);
+            self.kernel.oracle.request_dropped(ctx.now(), req.id);
         }
     }
 
@@ -648,7 +546,7 @@ impl ChaosWorld {
     }
 
     fn deliver(&mut self, req: Req, target: ServerId, hops: u8, ctx: &mut Ctx<'_, ChaosEvent>) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return;
         }
         let serving = self.hosts.get(&target).map(Host::serving).unwrap_or(false);
@@ -666,6 +564,7 @@ impl ChaosWorld {
             AppResponse::Forward(next) if hops < 4 => {
                 self.stats.forwards += 1;
                 let t = self
+                    .kernel
                     .net
                     .transmit(Endpoint::Server(target.raw()), Endpoint::Server(next.raw()));
                 if t.copies.is_empty() {
@@ -694,7 +593,8 @@ impl ChaosWorld {
         // The §3.2 invariant is checked at the moment it matters: when
         // a request is actually served.
         let willing = self.willing_count(req.shard);
-        self.oracle
+        self.kernel
+            .oracle
             .primaries_observed(now, req.shard.raw(), willing);
         let app_key = AppKey::from_u64(req.key);
         if req.write {
@@ -703,7 +603,7 @@ impl ChaosWorld {
             if let Some(host) = self.hosts.get_mut(&target) {
                 host.kv.put(req.shard, app_key, tag.to_be_bytes().to_vec());
             }
-            self.oracle.write_acked(req.key, tag);
+            self.kernel.oracle.write_acked(req.key, tag);
         } else {
             let observed = self
                 .hosts
@@ -711,87 +611,33 @@ impl ChaosWorld {
                 .and_then(|h| h.kv.get(req.shard, &app_key))
                 .and_then(|v| <[u8; 8]>::try_from(v.as_slice()).ok())
                 .map(u64::from_be_bytes);
-            self.oracle.read_served(now, req.key, observed);
+            self.kernel.oracle.read_served(now, req.key, observed);
         }
-        self.oracle.request_served(req.id);
+        self.kernel.oracle.request_served(req.id);
         self.stats.served += 1;
         let latency_ms = now.since(req.sent_at).as_millis_f64();
-        self.trace.record("latency_ms", now, latency_ms);
+        self.kernel.trace.record("latency_ms", now, latency_ms);
     }
 
-    fn rpc_send(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ctx: &mut Ctx<'_, ChaosEvent>,
-    ) {
-        // A dead process never applies anything; a self-fenced server
-        // refuses shard placements (§3.2) until it re-registers. Either
-        // way the connection attempt fails fast and the failure travels
-        // back through the net like any other message. A duplicated
-        // copy of an already-executed command answers with the recorded
-        // outcome instead of re-dispatching (exactly-once apply per
-        // command attempt, as a request id gives a real RPC layer).
-        let ok = if let Some(&ok) = self.rpc_applied.get(&id) {
-            ok
-        } else {
-            let ok = match self.hosts.get_mut(&server) {
-                Some(h) if h.serving() => rpc.dispatch(&mut h.kv).is_ok(),
-                _ => false,
-            };
-            self.rpc_applied.insert(id, ok);
-            if ok {
-                // The server's hosted-shard set just changed — the
-                // instant a dual primary can first exist. Sweep now,
-                // not at the next poll.
-                ctx.state_changed();
-            }
-            ok
+    /// A KV host applies an RPC; the control plane hears every answer
+    /// and timeout at once and flushes its follow-up commands straight
+    /// away.
+    fn rpc_event(&mut self, event: RpcEvent, ctx: &mut Ctx<'_, ChaosEvent>) {
+        let reply = self.kernel.rpc.handle(
+            event,
+            &mut self.kernel.net,
+            ctx,
+            &mut self.hosts,
+            |h, rpc| rpc.dispatch(&mut h.kv).is_ok(),
+        );
+        let Some((server, rpc, acked)) = reply else {
+            return;
         };
-        let t = self
-            .net
-            .transmit(Endpoint::Server(server.raw()), Endpoint::ControlPlane);
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                ChaosEvent::RpcResult {
-                    id,
-                    server,
-                    rpc,
-                    ok,
-                },
-            );
-        }
-    }
-
-    fn rpc_result(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
-        ctx: &mut Ctx<'_, ChaosEvent>,
-    ) {
-        if self.outstanding.remove(&id).is_none() {
-            return; // duplicate copy or a result the timeout already reaped
-        }
-        let events = if ok {
+        let events = if acked {
             self.cp.rpc_acked(&mut self.zk, server, rpc)
         } else {
             self.cp.rpc_failed(&mut self.zk, server, rpc)
         };
-        self.dispatch_zk(events, ctx);
-        self.flush_commands(ctx);
-        ctx.state_changed();
-    }
-
-    fn rpc_timeout(&mut self, id: u64, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let Some((server, rpc)) = self.outstanding.remove(&id) else {
-            return; // answered in time
-        };
-        self.stats.rpc_timeouts += 1;
-        let events = self.cp.rpc_failed(&mut self.zk, server, rpc);
         self.dispatch_zk(events, ctx);
         self.flush_commands(ctx);
         ctx.state_changed();
@@ -830,7 +676,7 @@ impl ChaosWorld {
                 }
             }
             if host.lease.is_some() {
-                let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
+                let t = self.kernel.net.transmit(Endpoint::Server(s), Endpoint::Zk);
                 for d in t.copies {
                     ctx.schedule_in(d, ChaosEvent::BeatArrive(s));
                 }
@@ -842,12 +688,12 @@ impl ChaosWorld {
         // old session is gone. Both can be eaten by a partition; the
         // next tick retries.
         if host.lease.is_some() {
-            let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
+            let t = self.kernel.net.transmit(Endpoint::Server(s), Endpoint::Zk);
             for d in t.copies {
                 ctx.schedule_in(d, ChaosEvent::ResignArrive(s));
             }
         } else {
-            let t = self.net.transmit(Endpoint::Server(s), Endpoint::Zk);
+            let t = self.kernel.net.transmit(Endpoint::Server(s), Endpoint::Zk);
             for d in t.copies {
                 ctx.schedule_in(d, ChaosEvent::RegisterArrive(s));
             }
@@ -863,7 +709,7 @@ impl ChaosWorld {
             return; // stale beat from a session ZK already expired
         }
         self.last_beat.insert(server, ctx.now());
-        let t = self.net.transmit(Endpoint::Zk, Endpoint::Server(s));
+        let t = self.kernel.net.transmit(Endpoint::Zk, Endpoint::Server(s));
         for d in t.copies {
             ctx.schedule_in(d, ChaosEvent::BeatAck(s));
         }
@@ -974,7 +820,7 @@ impl ChaosWorld {
                 host.fenced = true;
                 let expired = host.lease.take();
                 self.stats.session_expiries += 1;
-                self.expired_sessions.insert(i);
+                self.stats.expired_sessions.insert(i);
                 if let Some(lease) = expired {
                     let events = lease.expire(&mut self.zk);
                     self.dispatch_zk(events, ctx);
@@ -1007,7 +853,7 @@ impl ChaosWorld {
                     return;
                 }
                 self.stats.minism_crashes += 1;
-                self.crashed_minisms.insert(i);
+                self.stats.crashed_minisms.insert(i);
                 if self.recovering_since.is_none() {
                     self.recovering_since = Some(ctx.now());
                 }
@@ -1021,27 +867,96 @@ impl ChaosWorld {
                 }
             }
             Fault::PartitionStart(spec) => {
-                self.net.start_partition(spec);
+                self.kernel.net.start_partition(spec);
                 self.stats.net_partitions += 1;
                 if self.recovering_since.is_none() {
                     self.recovering_since = Some(ctx.now());
                 }
             }
-            Fault::PartitionHeal => self.net.heal_partition(),
+            Fault::PartitionHeal => self.kernel.net.heal_partition(),
             Fault::NetDegrade { drop_pct, dup_pct } => self
+                .kernel
                 .net
                 .set_degradation(f64::from(drop_pct) / 100.0, f64::from(dup_pct) / 100.0),
-            Fault::NetHeal => self.net.heal_degradation(),
+            Fault::NetHeal => self.kernel.net.heal_degradation(),
         }
     }
 
-    /// The oracle sweep body, run by the engine (change-driven plus a
-    /// coarse safety net — see [`World::sweep`]): ZK-side session
-    /// expiry, the dual-primary audit, recovery bookkeeping, and trace
-    /// points. Gated to the experiment window: after `end` the periodic
+    /// Quiescence checks, run once after the event queue drains: the
+    /// registry must match its durable snapshot, every shard must be
+    /// placed with no stuck migrations, the client-visible router (as
+    /// last refreshed by its periodic task) must agree with the
+    /// assignment, and no request may have silently vanished.
+    fn finalize(&mut self) {
+        let at = self.cfg.end;
+        let in_memory = self.cp.registry.snapshot();
+        let durable = self.zk.get(paths::REGISTRY).ok().map(|(d, _)| d);
+        self.kernel
+            .oracle
+            .quiescent_registry(at, &in_memory, durable.as_deref());
+        let unplaced = self.cp.unplaced().len();
+        let in_flight = self.cp.in_flight_total();
+        let mut divergence = 0usize;
+        for p in &self.partitions {
+            if let Some(orch) = self.cp.orchestrator(p.id) {
+                for &shard in &p.shards {
+                    if orch.assignment().primary_of(shard) != self.router.get(&shard).copied() {
+                        divergence += 1;
+                    }
+                }
+            }
+        }
+        self.kernel
+            .oracle
+            .convergence_check(at, unplaced, in_flight, divergence);
+        self.kernel.oracle.quiescent_drain_check(at);
+    }
+}
+
+impl World for ChaosWorld {
+    type Event = ChaosEvent;
+
+    fn handle(&mut self, ctx: &mut Ctx<'_, ChaosEvent>, event: ChaosEvent) {
+        match event {
+            ChaosEvent::ClientTick(c) => self.client_tick(c, ctx),
+            ChaosEvent::Deliver { req, target, hops } => self.deliver(req, target, hops, ctx),
+            ChaosEvent::Retry { req } => {
+                // Re-route via the freshest map the client can see.
+                self.refresh_router();
+                self.route(req, ctx);
+            }
+            ChaosEvent::Rpc(event) => self.rpc_event(event, ctx),
+            ChaosEvent::ZkNotify(watch) => {
+                let events = self.cp.handle_event(&mut self.zk, &watch);
+                self.dispatch_zk(events, ctx);
+                self.flush_commands(ctx);
+                ctx.state_changed();
+            }
+            ChaosEvent::FaultHit(fault) => {
+                self.apply_fault(fault, ctx);
+                self.flush_commands(ctx);
+                ctx.state_changed();
+            }
+            ChaosEvent::RouterRefresh => {
+                if ctx.now() < self.cfg.end {
+                    ctx.schedule_in(SimDuration::from_millis(1000), ChaosEvent::RouterRefresh);
+                }
+                self.refresh_router();
+            }
+            ChaosEvent::HeartbeatTick(s) => self.heartbeat_tick(s, ctx),
+            ChaosEvent::BeatArrive(s) => self.beat_arrive(s, ctx),
+            ChaosEvent::BeatAck(s) => self.beat_ack(s, ctx),
+            ChaosEvent::ResignArrive(s) => self.resign_arrive(s, ctx),
+            ChaosEvent::RegisterArrive(s) => self.register_arrive(s, ctx),
+        }
+    }
+
+    /// The oracle sweep (change-driven plus a coarse safety net):
+    /// ZK-side session expiry, the dual-primary audit, recovery
+    /// bookkeeping, and trace points. Gated to the experiment window: after `end` the periodic
     /// heartbeats have stopped by design, and sweeping the drain would
     /// mass-expire healthy sessions that are merely no longer beating.
-    fn scan(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
+    fn sweep(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
         let now = ctx.now();
         if now > self.cfg.end {
             return;
@@ -1074,7 +989,9 @@ impl ChaosWorld {
         // served request; this sweep also sees shards with no traffic.
         for shard in (0..self.cfg.shards).map(ShardId) {
             let willing = self.willing_count(shard);
-            self.oracle.primaries_observed(now, shard.raw(), willing);
+            self.kernel
+                .oracle
+                .primaries_observed(now, shard.raw(), willing);
             if willing > 1 {
                 self.stats.dual_primary += 1;
             }
@@ -1082,8 +999,10 @@ impl ChaosWorld {
         let unplaced = self.cp.unplaced().len();
         let in_flight = self.cp.in_flight_total();
         if let Some(started) = self.recovering_since {
-            if unplaced == 0 && in_flight == 0 && self.net.partition().is_none() {
-                self.recoveries_ms.push(now.since(started).as_millis_f64());
+            if unplaced == 0 && in_flight == 0 && self.kernel.net.partition().is_none() {
+                self.stats
+                    .recoveries_ms
+                    .push(now.since(started).as_millis_f64());
                 self.recovering_since = None;
             }
         }
@@ -1092,97 +1011,21 @@ impl ChaosWorld {
             .values()
             .filter(|h| !h.process_up || h.fenced || h.lease.is_none())
             .count();
-        self.trace.record("unplaced", now, unplaced as f64);
-        self.trace.record("in_flight", now, in_flight as f64);
-        self.trace.record("down_servers", now, down as f64);
-        self.trace
+        self.kernel.trace.record("unplaced", now, unplaced as f64);
+        self.kernel.trace.record("in_flight", now, in_flight as f64);
+        self.kernel.trace.record("down_servers", now, down as f64);
+        self.kernel
+            .trace
             .record("served_total", now, self.stats.served as f64);
-        self.trace
+        self.kernel
+            .trace
             .record("dropped_total", now, self.stats.dropped as f64);
-        self.trace
+        self.kernel
+            .trace
             .record("minisms_up", now, self.cp.running_minisms().len() as f64);
-        self.trace
-            .record("net_blocked", now, self.net.stats().blocked as f64);
-    }
-
-    /// Quiescence checks, run once after the event queue drains: the
-    /// registry must match its durable snapshot, every shard must be
-    /// placed with no stuck migrations, the client-visible router (as
-    /// last refreshed by its periodic task) must agree with the
-    /// assignment, and no request may have silently vanished.
-    fn finalize(&mut self) {
-        let at = self.cfg.end;
-        let in_memory = self.cp.registry.snapshot();
-        let durable = self.zk.get(paths::REGISTRY).ok().map(|(d, _)| d);
-        self.oracle
-            .quiescent_registry(at, &in_memory, durable.as_deref());
-        let unplaced = self.cp.unplaced().len();
-        let in_flight = self.cp.in_flight_total();
-        let mut divergence = 0usize;
-        for p in &self.partitions {
-            if let Some(orch) = self.cp.orchestrator(p.id) {
-                for &shard in &p.shards {
-                    if orch.assignment().primary_of(shard) != self.router.get(&shard).copied() {
-                        divergence += 1;
-                    }
-                }
-            }
-        }
-        self.oracle
-            .convergence_check(at, unplaced, in_flight, divergence);
-        self.oracle.quiescent_drain_check(at);
-    }
-}
-
-impl World for ChaosWorld {
-    type Event = ChaosEvent;
-
-    fn handle(&mut self, ctx: &mut Ctx<'_, ChaosEvent>, event: ChaosEvent) {
-        match event {
-            ChaosEvent::ClientTick(c) => self.client_tick(c, ctx),
-            ChaosEvent::Deliver { req, target, hops } => self.deliver(req, target, hops, ctx),
-            ChaosEvent::Retry { req } => {
-                // Re-route via the freshest map the client can see.
-                self.refresh_router();
-                self.route(req, ctx);
-            }
-            ChaosEvent::RpcSend { id, server, rpc } => self.rpc_send(id, server, rpc, ctx),
-            ChaosEvent::RpcResult {
-                id,
-                server,
-                rpc,
-                ok,
-            } => self.rpc_result(id, server, rpc, ok, ctx),
-            ChaosEvent::RpcTimeout { id } => self.rpc_timeout(id, ctx),
-            ChaosEvent::ZkNotify(watch) => {
-                let events = self.cp.handle_event(&mut self.zk, &watch);
-                self.dispatch_zk(events, ctx);
-                self.flush_commands(ctx);
-                ctx.state_changed();
-            }
-            ChaosEvent::FaultHit(i) => {
-                if let Some((_, fault)) = self.plan.get(i).copied() {
-                    self.apply_fault(fault, ctx);
-                    self.flush_commands(ctx);
-                    ctx.state_changed();
-                }
-            }
-            ChaosEvent::RouterRefresh => {
-                if ctx.now() < self.cfg.end {
-                    ctx.schedule_in(SimDuration::from_millis(1000), ChaosEvent::RouterRefresh);
-                }
-                self.refresh_router();
-            }
-            ChaosEvent::HeartbeatTick(s) => self.heartbeat_tick(s, ctx),
-            ChaosEvent::BeatArrive(s) => self.beat_arrive(s, ctx),
-            ChaosEvent::BeatAck(s) => self.beat_ack(s, ctx),
-            ChaosEvent::ResignArrive(s) => self.resign_arrive(s, ctx),
-            ChaosEvent::RegisterArrive(s) => self.register_arrive(s, ctx),
-        }
-    }
-
-    fn sweep(&mut self, ctx: &mut Ctx<'_, ChaosEvent>) {
-        self.scan(ctx);
+        self.kernel
+            .trace
+            .record("net_blocked", now, self.kernel.net.stats().blocked as f64);
     }
 
     fn sweep_interval(&self) -> Option<SimDuration> {
@@ -1194,102 +1037,71 @@ impl World for ChaosWorld {
     }
 }
 
-/// Outcome of one chaos run — everything the acceptance checks need.
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Traffic and fault counters.
-    pub stats: ChaosStats,
-    /// Control-plane counters (failovers, restores, fenced writes).
-    pub ha: HaStats,
-    /// Network delivery counters.
-    pub net: NetStats,
-    /// Invariant violations the oracle observed (empty on a safe run).
-    pub violations: Vec<OracleViolation>,
-    /// Total violations, uncapped (the list above is capped).
-    pub total_violations: u64,
-    /// Mini-SM ids crashed at least once.
-    pub crashed_minisms: BTreeSet<u32>,
-    /// Servers whose bare session expiry was injected.
-    pub expired_sessions: BTreeSet<u32>,
-    /// Completed control-plane recoveries, milliseconds each.
-    pub recoveries_ms: Vec<f64>,
-    /// Mini-SMs that existed at deployment (coverage denominator).
-    pub initial_minisms: usize,
-    /// True when, at the end, every shard was placed with no stuck
-    /// migrations.
-    pub converged: bool,
-    /// Shards lacking a primary at the end (diagnostics; 0 expected).
-    pub unplaced: usize,
-    /// The fault plan the run executed (replay/shrink input).
-    pub plan: Vec<(SimTime, Fault)>,
-    /// The run's time-series trace, rendered as CSV (5 s buckets) —
-    /// byte-identical across reruns of the same seed and plan.
-    pub trace_csv: String,
-}
+impl FaultWorld for ChaosWorld {
+    type Config = ChaosConfig;
+    type Stats = ChaosStats;
+    const NAME: &'static str = "chaos";
+    const MUTATION: &'static str = "disable_self_fencing";
 
-/// Runs one seeded chaos experiment to completion and reports. The
-/// fault plan derives from the config (covering or profile).
-pub fn run_chaos(cfg: ChaosConfig) -> ChaosReport {
-    run_chaos_queued(cfg, QueueKind::default())
-}
-
-/// [`run_chaos`] on an explicit engine queue implementation — the
-/// differential-testing entry point (both kinds must produce
-/// byte-identical reports).
-pub fn run_chaos_queued(cfg: ChaosConfig, kind: QueueKind) -> ChaosReport {
-    run_world(ChaosWorld::new(cfg), cfg, kind)
-}
-
-/// Runs a chaos experiment with an explicit fault plan — the
-/// replay/shrink path. The plan must be time-sorted.
-pub fn run_chaos_with_plan(cfg: ChaosConfig, plan: Vec<(SimTime, Fault)>) -> ChaosReport {
-    run_chaos_with_plan_queued(cfg, plan, QueueKind::default())
-}
-
-/// [`run_chaos_with_plan`] on an explicit engine queue implementation.
-pub fn run_chaos_with_plan_queued(
-    cfg: ChaosConfig,
-    plan: Vec<(SimTime, Fault)>,
-    kind: QueueKind,
-) -> ChaosReport {
-    run_world(ChaosWorld::new_with_plan(cfg, plan), cfg, kind)
-}
-
-fn run_world(world: ChaosWorld, cfg: ChaosConfig, kind: QueueKind) -> ChaosReport {
-    let plan_times: Vec<SimTime> = world.plan.iter().map(|(at, _)| *at).collect();
-    let mut sim = Simulation::with_queue(world, cfg.seed, kind);
-    for (i, at) in plan_times.iter().enumerate() {
-        sim.schedule_at(*at, ChaosEvent::FaultHit(i));
+    fn config(cell: DstConfig) -> ChaosConfig {
+        let mut cfg = ChaosConfig::dst(cell.seed, cell.profile);
+        cfg.disable_self_fencing = cell.mutate;
+        cfg
     }
-    for c in 0..cfg.clients {
-        sim.schedule_at(SimTime::from_secs(5), ChaosEvent::ClientTick(c));
+
+    fn seed_and_end(cfg: &ChaosConfig) -> (u64, SimTime) {
+        (cfg.seed, cfg.end)
     }
-    sim.schedule_at(SimTime::from_secs(1), ChaosEvent::RouterRefresh);
-    for s in 0..cfg.servers {
+
+    /// Without an explicit plan: the covering plan when `cfg.profile` is
+    /// `None`, the profile's DST plan otherwise.
+    fn build(cfg: ChaosConfig, plan: Option<Vec<(SimTime, Fault)>>) -> Self {
+        let mut world = Self::bootstrap(cfg);
+        let n_minisms = world.cp.running_minisms().len() as u32;
+        world.kernel.plan = plan.unwrap_or_else(|| match cfg.profile {
+            None => fault_plan(&FaultPlanConfig::covering(cfg.seed, cfg.servers, n_minisms)),
+            Some(p) => fault_plan(&p.config(cfg.seed, cfg.servers, n_minisms)),
+        });
+        world
+    }
+
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
+    fn fault_hit(fault: Fault) -> ChaosEvent {
+        ChaosEvent::FaultHit(fault)
+    }
+
+    fn start(&self) -> Vec<(SimTime, ChaosEvent)> {
+        let mut events: Vec<(SimTime, ChaosEvent)> = (0..self.cfg.clients)
+            .map(|c| (SimTime::from_secs(5), ChaosEvent::ClientTick(c)))
+            .collect();
+        events.push((SimTime::from_secs(1), ChaosEvent::RouterRefresh));
         // Staggered start so the fleet's heartbeats don't all land on
         // the same instant.
-        sim.schedule_at(
-            SimTime::from_millis(1_000 + 7 * u64::from(s)),
-            ChaosEvent::HeartbeatTick(s),
-        );
+        events.extend((0..self.cfg.servers).map(|s| {
+            (
+                SimTime::from_millis(1_000 + 7 * u64::from(s)),
+                ChaosEvent::HeartbeatTick(s),
+            )
+        }));
+        events
     }
-    sim.run_until(cfg.end);
-    // Periodic events stop at `end`; whatever remains is in-flight
-    // requests and timers draining against a healthy fleet.
-    sim.run();
-    let mut world = sim.into_world();
-    world.finalize();
-    let converged = world.converged();
-    ChaosReport {
-        stats: world.stats,
-        ha: world.ha_stats(),
-        net: world.net.stats(),
-        violations: world.oracle.violations().to_vec(),
-        total_violations: world.oracle.total_violations(),
-        crashed_minisms: world.crashed_minisms.clone(),
-        expired_sessions: world.expired_sessions.clone(),
-        recoveries_ms: world.recoveries_ms.clone(),
-        initial_minisms: world
+
+    /// Periodic events stop at `end`; whatever remains is in-flight
+    /// requests and timers draining against a healthy fleet.
+    fn drains_after_end() -> bool {
+        true
+    }
+
+    fn finish(mut self) -> ChaosReport {
+        self.finalize();
+        let converged = self.cp.fully_placed() && self.cp.in_flight_total() == 0;
+        self.stats.ha = self.cp.stats();
+        let unplaced = self.cp.unplaced().len();
+        self.stats.initial_minisms = self
+            .kernel
             .plan
             .iter()
             .filter_map(|(_, f)| match f {
@@ -1297,13 +1109,20 @@ fn run_world(world: ChaosWorld, cfg: ChaosConfig, kind: QueueKind) -> ChaosRepor
                 _ => None,
             })
             .collect::<BTreeSet<u32>>()
-            .len(),
-        converged,
-        unplaced: world.unplaced_count(),
-        plan: world.plan.clone(),
-        trace_csv: world.trace.to_csv(5),
+            .len();
+        Report::new(self.stats, &self.kernel, converged, unplaced)
+    }
+
+    fn summary(stats: &ChaosStats) -> String {
+        format!(
+            "served={} fences={} partitions={}",
+            stats.served, stats.self_fences, stats.net_partitions
+        )
     }
 }
+
+/// Outcome of one chaos run — everything the acceptance checks need.
+pub type ChaosReport = Report<ChaosStats>;
 
 #[cfg(test)]
 mod tests {
@@ -1311,18 +1130,19 @@ mod tests {
 
     #[test]
     fn world_bootstraps_fully_placed() {
-        let mut w = ChaosWorld::new(ChaosConfig::covering(1));
+        let mut w = ChaosWorld::build(ChaosConfig::covering(1), None);
         // Initial placement happens synchronously at deploy; commands
         // are still in flight but every shard has an assignment.
         assert!(w.cp.fully_placed(), "unplaced: {:?}", w.cp.unplaced());
-        assert!(w.running_minisms() >= 2, "want several mini-SMs");
+        assert!(w.cp.running_minisms().len() >= 2, "want several mini-SMs");
         assert_eq!(w.router.len(), w.cfg.shards as usize);
     }
 
     #[test]
     fn plan_targets_every_initial_minism() {
-        let w = ChaosWorld::new(ChaosConfig::covering(7));
+        let w = ChaosWorld::build(ChaosConfig::covering(7), None);
         let targeted: BTreeSet<u32> = w
+            .kernel
             .plan
             .iter()
             .filter_map(|(_, f)| match f {
@@ -1336,8 +1156,9 @@ mod tests {
 
     #[test]
     fn dst_profile_plans_inject_their_net_faults() {
-        let w = ChaosWorld::new(ChaosConfig::dst(3, FaultProfile::AsymPartition));
+        let w = ChaosWorld::build(ChaosConfig::dst(3, FaultProfile::AsymPartition), None);
         let parts = w
+            .kernel
             .plan
             .iter()
             .filter(|(_, f)| matches!(f, Fault::PartitionStart(p) if p.asym))
@@ -1350,7 +1171,7 @@ mod tests {
         // One full DST run under symmetric partitions: servers behind
         // the partition must self-fence before ZK expires their
         // sessions, and the oracle must find nothing.
-        let r = run_chaos(ChaosConfig::dst(5, FaultProfile::SymPartition));
+        let r = ChaosWorld::run(ChaosConfig::dst(5, FaultProfile::SymPartition));
         assert!(r.net.blocked > 0, "partition must block real traffic");
         assert!(r.stats.net_partitions >= 1);
         assert!(

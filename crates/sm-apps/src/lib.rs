@@ -32,27 +32,16 @@ pub mod replication;
 pub mod replstore;
 pub mod split;
 pub mod stream;
+pub mod world;
 
-pub use chaos::{
-    run_chaos, run_chaos_queued, run_chaos_with_plan, run_chaos_with_plan_queued, ChaosConfig,
-    ChaosReport, ChaosStats, ChaosWorld,
-};
-pub use dst::{
-    repro_from_json, repro_to_json, run_dst, run_dst_queued, run_dst_with_plan, run_swarm, shrink,
-    shrink_plan, DstConfig, DstReport,
-};
+pub use chaos::{ChaosConfig, ChaosReport, ChaosStats, ChaosWorld};
+pub use dst::{run_dst, DstReport};
 pub use forwarding::{AppResponse, ShardHost};
 pub use harness::{ExperimentConfig, SimWorld, WorldEvent, WorldStats};
 pub use kv::{ExternalStore, KvServer};
 pub use queue::QueueServer;
-pub use reconfig::{
-    reconfig_repro_from_json, reconfig_repro_to_json, run_reconfig, run_reconfig_queued,
-    run_reconfig_with_plan, shrink_reconfig, ReconfigConfig, ReconfigReport, ReconfigStats,
-    ReconfigWorld,
-};
+pub use reconfig::{ReconfigConfig, ReconfigReport, ReconfigStats, ReconfigWorld};
 pub use replstore::ReplStoreServer;
-pub use split::{
-    run_split, run_split_queued, run_split_swarm, run_split_with_plan, shrink_split,
-    split_repro_from_json, split_repro_to_json, SplitConfig, SplitReport, SplitStats, SplitWorld,
-};
+pub use split::{SplitConfig, SplitReport, SplitStats, SplitWorld};
 pub use stream::StreamServer;
+pub use world::{DstConfig, FaultWorld, Report};

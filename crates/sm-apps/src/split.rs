@@ -37,19 +37,18 @@
 //! requests. `tests/split.rs` proves the oracle catches it. The whole
 //! run is a pure function of `(config, plan)`.
 
-use crate::dst::{fault_from_json, fault_to_json, shrink_plan, Json, Parser};
+use crate::world::{loc, DstConfig, FaultWorld, Kernel, Report, RpcEvent, RpcHost};
 use sm_allocator::{AllocConfig, MoveCaps};
 use sm_core::{
     OrchCommand, Orchestrator, OrchestratorConfig, ServerRpc, SplitScaler, SplitScalerConfig,
 };
 use sm_routing::ServiceRouter;
 use sm_sim::faults::{fault_plan, Fault, FaultProfile};
-use sm_sim::net::{Endpoint, NetStats, SimNet};
-use sm_sim::oracle::{InvariantKind, Oracle, OracleViolation};
-use sm_sim::{Ctx, LatencyModel, QueueKind, SimDuration, SimTime, Simulation, TraceLog, World};
+use sm_sim::net::Endpoint;
+use sm_sim::{Ctx, SimDuration, SimTime, World};
 use sm_types::{
-    AppId, AppKey, AppPolicy, KeyRange, LoadVector, Location, MachineId, Metric, RegionId,
-    ReplicaRole, ServerId, ShardId, ShardingSpec,
+    AppId, AppKey, AppPolicy, KeyRange, LoadVector, Metric, ReplicaRole, ServerId, ShardId,
+    ShardingSpec,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -77,8 +76,6 @@ pub struct SplitConfig {
     pub max_attempts: u32,
     /// One-way network latency.
     pub rpc_latency: SimDuration,
-    /// The control plane gives up on an unanswered RPC after this.
-    pub rpc_timeout: SimDuration,
     /// Cadence of load collection + adaptive resharding decisions.
     pub reshard_interval: SimDuration,
     /// Cadence of client router refresh (spec + map pull).
@@ -118,7 +115,6 @@ impl SplitConfig {
             retry_delay: SimDuration::from_millis(500),
             max_attempts: 40,
             rpc_latency: SimDuration::from_millis(10),
-            rpc_timeout: SimDuration::from_secs(2),
             reshard_interval: SimDuration::from_secs(2),
             refresh_interval: SimDuration::from_millis(500),
             storm_start: SimTime::from_secs(25),
@@ -195,36 +191,13 @@ pub enum SplitEvent {
         /// The request, attempts already incremented.
         req: Req,
     },
-    /// A control-plane RPC reaches its server.
-    RpcSend {
-        /// Correlation id for timeout/duplicate handling.
-        id: u64,
-        /// Target server.
-        server: ServerId,
-        /// The RPC payload.
-        rpc: ServerRpc,
-    },
-    /// The server's ack (or failure) reaches the control plane.
-    RpcResult {
-        /// Correlation id; late or duplicate results are ignored.
-        id: u64,
-        /// Answering server.
-        server: ServerId,
-        /// The RPC being answered.
-        rpc: ServerRpc,
-        /// Whether the server applied it.
-        ok: bool,
-    },
-    /// The control plane gives up on an unanswered RPC.
-    RpcTimeout {
-        /// Correlation id; a no-op if the result already arrived.
-        id: u64,
-    },
+    /// A control-plane RPC, its answer, or its give-up timer.
+    Rpc(RpcEvent),
     /// The control plane's failure detector declares an islanded
     /// server dead (fires a few seconds into a partition).
     DetectDown(u32),
-    /// The i-th entry of the fault plan fires.
-    FaultHit(usize),
+    /// A fault-plan entry fires.
+    FaultHit(Fault),
     /// Retry pacemaker: re-issue nacked or timed-out control steps and
     /// plan replacements on a fixed 500ms backoff.
     RetryTick,
@@ -232,6 +205,12 @@ pub enum SplitEvent {
     ReshardTick,
     /// Clients re-pull the spec and map into their router.
     RouterRefresh,
+}
+
+impl From<RpcEvent> for SplitEvent {
+    fn from(event: RpcEvent) -> Self {
+        SplitEvent::Rpc(event)
+    }
 }
 
 /// Counters accumulated over a run.
@@ -261,10 +240,6 @@ pub struct SplitStats {
     pub reshard_rpc_interrupted: u64,
     /// Anomalies the orchestrator surfaced via `drain_errors`.
     pub orch_errors: u64,
-    /// Control-plane RPCs that timed out unanswered.
-    pub rpc_timeouts: u64,
-    /// Control-plane RPCs the server answered with a failure.
-    pub rpc_nacks: u64,
     /// Server container crashes injected.
     pub server_crashes: u64,
     /// Session expiries injected.
@@ -505,14 +480,70 @@ impl SplitHost {
         self.tomb.clear();
         self.served.clear();
     }
+
+    /// Applies one control-plane RPC; returns whether the host applied
+    /// it. A `SplitForward`'s split point arrives out of band, from the
+    /// orchestrator's pending-split table, the way a production server
+    /// would fetch it from the spec service.
+    fn apply(&mut self, rpc: ServerRpc, cp: &Orchestrator) -> bool {
+        match rpc {
+            ServerRpc::AddShard { shard, role } => {
+                self.add_shard(shard, role);
+                true
+            }
+            ServerRpc::DropShard { shard } => {
+                self.drop_shard(shard);
+                true
+            }
+            ServerRpc::ChangeRole {
+                shard,
+                current,
+                new,
+            } => self.change_role(shard, current, new).is_ok(),
+            ServerRpc::PrepareAddShard {
+                shard,
+                current_owner,
+                ..
+            } => {
+                self.prepare_add_shard(shard, current_owner);
+                true
+            }
+            ServerRpc::PrepareDropShard {
+                shard, new_owner, ..
+            } => self.prepare_drop_shard(shard, new_owner).is_ok(),
+            ServerRpc::SplitForward {
+                parent,
+                left,
+                left_to,
+                right,
+                right_to,
+            } => match cp.pending_split(parent) {
+                // The op was aborted between send and delivery: refuse,
+                // the orchestrator already moved on.
+                None => false,
+                Some(at) => self
+                    .split_forward(parent, at.clone(), left, left_to, right, right_to)
+                    .is_ok(),
+            },
+            ServerRpc::MergeForward {
+                source,
+                target,
+                target_to,
+            } => self.merge_forward(source, target, target_to).is_ok(),
+        }
+    }
 }
 
-fn loc(s: u32) -> Location {
-    Location {
-        region: RegionId(0),
-        datacenter: 0,
-        rack: s,
-        machine: MachineId(s),
+/// A self-fenced server refuses every grant: its session lapsed, so
+/// accepting an `AddShard` the control plane sent an instant before
+/// declaring it down would resurrect an unleased primary (a dual).
+impl RpcHost for SplitHost {
+    fn up(&self) -> bool {
+        self.up
+    }
+
+    fn fenced(&self) -> bool {
+        self.fenced
     }
 }
 
@@ -536,16 +567,6 @@ pub struct SplitWorld {
     scaler: SplitScaler,
     hosts: BTreeMap<ServerId, SplitHost>,
     router: ServiceRouter,
-    net: SimNet,
-    oracle: Oracle,
-    plan: Vec<(SimTime, Fault)>,
-    /// Correlation ids of control-plane RPCs awaiting an answer.
-    outstanding: BTreeMap<u64, (ServerId, ServerRpc)>,
-    /// Correlation ids already executed at a server, with the recorded
-    /// outcome: a duplicated copy answers from here instead of
-    /// re-running the protocol step.
-    rpc_applied: BTreeMap<u64, bool>,
-    next_rpc: u64,
     next_req: u64,
     /// Every shard id ever published with its immutable key range (a
     /// shard's range never changes between mint and removal), for the
@@ -555,35 +576,16 @@ pub struct SplitWorld {
     partitioned: BTreeSet<ServerId>,
     /// True during a lossy-net window.
     degraded: bool,
-    /// Orchestrator stats at the last scan (for delta counting).
-    last_cp_stats: sm_core::orchestrator::OrchStats,
+    /// Net, RPC transport, oracle, fault plan and trace.
+    kernel: Kernel,
     /// Counters.
     pub stats: SplitStats,
-    /// Recorded time series (shard count, in-flight reshards, drops).
-    pub trace: TraceLog,
 }
 
 impl SplitWorld {
-    /// Builds the world with its plan derived from `(seed, profile)`.
-    pub fn new(cfg: SplitConfig) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        // No mini-SMs in this world: the plan covers servers and the
-        // network only.
-        world.plan = fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0));
-        world
-    }
-
-    /// Builds the world with an explicit fault plan — the replay and
-    /// shrink path.
-    pub fn new_with_plan(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> Self {
-        let mut world = Self::bootstrap(cfg);
-        world.plan = plan;
-        world
-    }
-
     /// Registers the fleet and the initial uniform spec, places every
     /// shard, and settles the initial placement synchronously.
-    fn bootstrap(cfg: SplitConfig) -> Self {
+    fn bootstrap(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> Self {
         let mut cp = Orchestrator::new(APP, AppPolicy::primary_only(), orch_config(&cfg));
         let mut hosts = BTreeMap::new();
         for i in 0..cfg.servers {
@@ -607,88 +609,16 @@ impl SplitWorld {
             scaler: scaler_for(&cfg),
             hosts,
             router: ServiceRouter::new(),
-            net: SimNet::new(
-                LatencyModel::uniform(1, cfg.rpc_latency.as_millis_f64(), {
-                    cfg.rpc_latency.as_millis_f64()
-                }),
-                cfg.seed,
-            ),
-            oracle: Oracle::new(),
-            plan: Vec::new(),
-            outstanding: BTreeMap::new(),
-            rpc_applied: BTreeMap::new(),
-            next_rpc: 0,
             next_req: 0,
             ranges: BTreeMap::new(),
             partitioned: BTreeSet::new(),
             degraded: false,
-            last_cp_stats: sm_core::orchestrator::OrchStats::default(),
             stats: SplitStats::default(),
-            trace: TraceLog::new(),
+            kernel: Kernel::new(cfg.seed, cfg.rpc_latency, plan),
         };
         world.settle();
         world.refresh_router();
         world
-    }
-
-    /// Dispatches one control-plane RPC at a host, fetching out-of-band
-    /// data (the split point) from the orchestrator's pending tables
-    /// the way a production server would fetch it from the spec
-    /// service. Returns whether the server applied it.
-    fn apply_rpc(&mut self, server: ServerId, rpc: ServerRpc) -> bool {
-        // The split point must be read before borrowing the host.
-        let split_at = match rpc {
-            ServerRpc::SplitForward { parent, .. } => self.cp.pending_split(parent).cloned(),
-            _ => None,
-        };
-        let Some(host) = self.hosts.get_mut(&server) else {
-            return false;
-        };
-        match rpc {
-            ServerRpc::AddShard { shard, role } => {
-                host.add_shard(shard, role);
-                true
-            }
-            ServerRpc::DropShard { shard } => {
-                host.drop_shard(shard);
-                true
-            }
-            ServerRpc::ChangeRole {
-                shard,
-                current,
-                new,
-            } => host.change_role(shard, current, new).is_ok(),
-            ServerRpc::PrepareAddShard {
-                shard,
-                current_owner,
-                ..
-            } => {
-                host.prepare_add_shard(shard, current_owner);
-                true
-            }
-            ServerRpc::PrepareDropShard {
-                shard, new_owner, ..
-            } => host.prepare_drop_shard(shard, new_owner).is_ok(),
-            ServerRpc::SplitForward {
-                parent,
-                left,
-                left_to,
-                right,
-                right_to,
-            } => match split_at {
-                // The op was aborted between send and delivery: refuse,
-                // the orchestrator already moved on.
-                None => false,
-                Some(at) => host
-                    .split_forward(parent, at, left, left_to, right, right_to)
-                    .is_ok(),
-            },
-            ServerRpc::MergeForward {
-                source,
-                target,
-                target_to,
-            } => host.merge_forward(source, target, target_to).is_ok(),
-        }
     }
 
     /// Settles the control plane synchronously against the live fleet:
@@ -705,8 +635,10 @@ impl SplitWorld {
             }
             for cmd in cmds {
                 if let OrchCommand::Rpc { server, rpc } = cmd {
-                    let ok = self.hosts.get(&server).map(|h| h.up).unwrap_or(false)
-                        && self.apply_rpc(server, rpc);
+                    let ok = self
+                        .hosts
+                        .get_mut(&server)
+                        .is_some_and(|h| h.up && h.apply(rpc, &self.cp));
                     if ok {
                         self.cp.rpc_acked(server, rpc);
                     } else {
@@ -715,11 +647,6 @@ impl SplitWorld {
                 }
             }
         }
-    }
-
-    /// The invariant oracle's current state.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
     }
 
     /// True when every spec shard has a primary and nothing is stuck
@@ -758,58 +685,10 @@ impl SplitWorld {
             .count()
     }
 
-    /// One line of host + assignment state per spec shard (diagnostics).
-    pub fn debug_dump(&self) -> String {
-        let mut out = String::new();
-        if let Some(spec) = self.cp.sharding_spec() {
-            for (range, shard) in spec.iter() {
-                let hosting: Vec<String> = self
-                    .hosts
-                    .iter()
-                    .filter_map(|(srv, h)| {
-                        let mut tags = Vec::new();
-                        if h.shards.contains_key(shard) {
-                            tags.push("own");
-                        }
-                        if h.pre_add.contains_key(shard) {
-                            tags.push("pre");
-                        }
-                        if h.fwd.contains_key(shard) {
-                            tags.push("fwd");
-                        }
-                        if h.tomb.contains_key(shard) {
-                            tags.push("tomb");
-                        }
-                        (!tags.is_empty()).then(|| {
-                            format!(
-                                "{}:{}{}",
-                                srv.raw(),
-                                tags.join("+"),
-                                if h.up { "" } else { "!down" }
-                            )
-                        })
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "{shard:?} [{},{:?}) primary={:?} hosts={hosting:?}\n",
-                    range.start,
-                    range.end,
-                    self.cp.assignment().primary_of(*shard),
-                ));
-            }
-        }
-        out.push_str(&format!(
-            "in_flight: migrations={} reshards={}\n",
-            self.cp.in_flight_migrations(),
-            self.cp.in_flight_reshards()
-        ));
-        out
-    }
-
     /// True while the plan has something actively broken — the window
     /// in which a nacked protocol step counts as fault-interrupted.
     fn fault_active(&self) -> bool {
-        self.degraded || self.net.partition().is_some() || self.hosts.values().any(|h| !h.up)
+        self.degraded || self.kernel.net.partition().is_some() || self.hosts.values().any(|h| !h.up)
     }
 
     /// Hosts willing to serve `key` directly, across every shard whose
@@ -842,67 +721,12 @@ impl SplitWorld {
         self.router.install_map(APP, Rc::new(self.cp.current_map()));
     }
 
-    /// Sends freshly minted orchestrator commands out as RPCs through
-    /// the net, each with a correlation id and a give-up timer.
+    /// Sends freshly minted orchestrator commands out as RPCs.
     fn flush_commands(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
         for cmd in self.cp.take_commands() {
             if let OrchCommand::Rpc { server, rpc } = cmd {
-                self.next_rpc += 1;
-                let id = self.next_rpc;
-                self.outstanding.insert(id, (server, rpc));
-                let t = self
-                    .net
-                    .transmit(Endpoint::ControlPlane, Endpoint::Server(server.raw()));
-                for d in t.copies {
-                    ctx.schedule_in(d, SplitEvent::RpcSend { id, server, rpc });
-                }
-                ctx.schedule_in(self.cfg.rpc_timeout, SplitEvent::RpcTimeout { id });
+                self.kernel.rpc.send(&mut self.kernel.net, ctx, server, rpc);
             }
-        }
-    }
-
-    fn rpc_send(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ctx: &mut Ctx<'_, SplitEvent>,
-    ) {
-        // A dead process never answers — the give-up timer reaps the
-        // RPC. A duplicated copy of an already-executed step answers
-        // with the recorded outcome instead of re-dispatching.
-        let ok = if let Some(&ok) = self.rpc_applied.get(&id) {
-            ok
-        } else {
-            if !self.hosts.get(&server).map(|h| h.up).unwrap_or(false) {
-                return;
-            }
-            // A self-fenced server refuses every grant: its session
-            // lapsed, so accepting an `AddShard` the control plane sent
-            // an instant before declaring it down would resurrect an
-            // unleased primary (a dual). The nack sends the control
-            // plane back to re-plan.
-            let ok = !self.hosts.get(&server).map(|h| h.fenced).unwrap_or(true)
-                && self.apply_rpc(server, rpc);
-            self.rpc_applied.insert(id, ok);
-            if ok {
-                ctx.state_changed();
-            }
-            ok
-        };
-        let t = self
-            .net
-            .transmit(Endpoint::Server(server.raw()), Endpoint::ControlPlane);
-        for d in t.copies {
-            ctx.schedule_in(
-                d,
-                SplitEvent::RpcResult {
-                    id,
-                    server,
-                    rpc,
-                    ok,
-                },
-            );
         }
     }
 
@@ -924,39 +748,27 @@ impl SplitWorld {
         }
     }
 
-    fn rpc_result(
-        &mut self,
-        id: u64,
-        server: ServerId,
-        rpc: ServerRpc,
-        ok: bool,
-        ctx: &mut Ctx<'_, SplitEvent>,
-    ) {
-        if self.outstanding.remove(&id).is_none() {
-            return; // duplicate copy or a result the timeout already reaped
-        }
-        if ok {
+    /// An ack flushes the next protocol step at once; a nacked or
+    /// timed-out step (and an abort's compensations) leaves with the
+    /// next retry tick — a 500ms backoff, not a 2×RTT storm.
+    fn rpc_event(&mut self, event: RpcEvent, ctx: &mut Ctx<'_, SplitEvent>) {
+        let reply = self.kernel.rpc.handle(
+            event,
+            &mut self.kernel.net,
+            ctx,
+            &mut self.hosts,
+            |h, rpc| h.apply(rpc, &self.cp),
+        );
+        let Some((server, rpc, acked)) = reply else {
+            return;
+        };
+        if acked {
             self.cp.rpc_acked(server, rpc);
             self.flush_commands(ctx);
         } else {
-            self.stats.rpc_nacks += 1;
             self.note_interrupted(rpc);
             self.cp.rpc_failed(server, rpc);
-            // No immediate flush: re-issued commands leave with the
-            // next retry tick (500ms backoff, not a 2×RTT storm). The
-            // exception is an abort's compensations, which the next
-            // tick also carries.
         }
-        ctx.state_changed();
-    }
-
-    fn rpc_timeout(&mut self, id: u64, ctx: &mut Ctx<'_, SplitEvent>) {
-        let Some((server, rpc)) = self.outstanding.remove(&id) else {
-            return; // answered in time
-        };
-        self.stats.rpc_timeouts += 1;
-        self.note_interrupted(rpc);
-        self.cp.rpc_failed(server, rpc);
         ctx.state_changed();
     }
 
@@ -979,7 +791,7 @@ impl SplitWorld {
             key,
             attempts: 1,
         };
-        self.oracle.request_issued(req.id);
+        self.kernel.oracle.request_issued(req.id);
         self.route(req, ctx);
     }
 
@@ -987,14 +799,14 @@ impl SplitWorld {
     /// key to shard to primary, on whatever spec + map version the last
     /// refresh pulled.
     fn route(&mut self, req: Req, ctx: &mut Ctx<'_, SplitEvent>) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return; // a duplicated copy already completed this request
         }
         let Ok(decision) = self.router.route(APP, &AppKey::from_u64(req.key)) else {
             self.fail_or_retry(req, ctx);
             return;
         };
-        let t = self.net.transmit(
+        let t = self.kernel.net.transmit(
             Endpoint::Client(req.client),
             Endpoint::Server(decision.server.raw()),
         );
@@ -1016,7 +828,7 @@ impl SplitWorld {
     }
 
     fn fail_or_retry(&mut self, req: Req, ctx: &mut Ctx<'_, SplitEvent>) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return;
         }
         if req.attempts < self.cfg.max_attempts {
@@ -1032,7 +844,7 @@ impl SplitWorld {
             );
         } else {
             self.stats.dropped += 1;
-            self.oracle.request_dropped(ctx.now(), req.id);
+            self.kernel.oracle.request_dropped(ctx.now(), req.id);
         }
     }
 
@@ -1044,7 +856,7 @@ impl SplitWorld {
         hops: u8,
         ctx: &mut Ctx<'_, SplitEvent>,
     ) {
-        if self.oracle.already_served(req.id) {
+        if self.kernel.oracle.already_served(req.id) {
             return;
         }
         if !self.hosts.get(&target).map(|h| h.up).unwrap_or(false) {
@@ -1062,9 +874,10 @@ impl SplitWorld {
                 // The dual-primary invariant is checked at the moment
                 // it matters: when a request is actually served.
                 let willing = self.willing_for_key(&key);
-                self.oracle
+                self.kernel
+                    .oracle
                     .primaries_observed(ctx.now(), shard.raw(), willing);
-                if self.oracle.request_served(req.id) {
+                if self.kernel.oracle.request_served(req.id) {
                     self.stats.served += 1;
                     let now = ctx.now();
                     let stormy = now >= self.cfg.storm_start && now < self.cfg.storm_end;
@@ -1084,6 +897,7 @@ impl SplitWorld {
             } if hops < 6 => {
                 self.stats.forwards += 1;
                 let t = self
+                    .kernel
                     .net
                     .transmit(Endpoint::Server(target.raw()), Endpoint::Server(to.raw()));
                 if t.copies.is_empty() {
@@ -1190,7 +1004,7 @@ impl SplitWorld {
                 }
                 // The control plane only learns of the death once its
                 // failure detector fires; until then RPCs to the dead
-                // server time out and operations stall mid-step.
+                // server are nacked and operations stall mid-step.
                 ctx.schedule_in(SimDuration::from_secs(3), SplitEvent::DetectDown(i));
             }
             Fault::ServerRestart(i) | Fault::SessionRestore(i) => {
@@ -1211,7 +1025,7 @@ impl SplitWorld {
                 self.cp.reconcile_server(s);
             }
             Fault::PartitionStart(spec) => {
-                self.net.start_partition(spec);
+                self.kernel.net.start_partition(spec);
                 self.stats.net_partitions += 1;
                 for i in 0..self.cfg.servers {
                     if spec.contains(Endpoint::Server(i)) {
@@ -1220,7 +1034,7 @@ impl SplitWorld {
                 }
             }
             Fault::PartitionHeal => {
-                self.net.heal_partition();
+                self.kernel.net.heal_partition();
                 let healed = std::mem::take(&mut self.partitioned);
                 for s in healed {
                     // The session re-establishes; the (wiped) server
@@ -1236,12 +1050,13 @@ impl SplitWorld {
             }
             Fault::NetDegrade { drop_pct, dup_pct } => {
                 self.degraded = true;
-                self.net
+                self.kernel
+                    .net
                     .set_degradation(f64::from(drop_pct) / 100.0, f64::from(dup_pct) / 100.0);
             }
             Fault::NetHeal => {
                 self.degraded = false;
-                self.net.heal_degradation();
+                self.kernel.net.heal_degradation();
             }
             // No mini-SMs in this world.
             Fault::MiniSmCrash(_) | Fault::MiniSmRestart(_) => {}
@@ -1255,6 +1070,7 @@ impl SplitWorld {
         let s = ServerId(i);
         let host_up = self.hosts.get(&s).map(|h| h.up).unwrap_or(false);
         let islanded = self
+            .kernel
             .net
             .partition()
             .is_some_and(|spec| spec.contains(Endpoint::Server(i)));
@@ -1280,42 +1096,6 @@ impl SplitWorld {
         ctx.state_changed();
     }
 
-    /// The oracle sweep body, run by the engine (change-driven plus a
-    /// coarse safety net): audit key-space coverage on the
-    /// authoritative spec, count completed/aborted operations, and
-    /// record trace points.
-    fn scan(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        let now = ctx.now();
-        if now > self.cfg.end {
-            return;
-        }
-        self.audit_coverage(now);
-        let cp = self.cp.stats();
-        self.stats.splits_completed = cp.splits_completed;
-        self.stats.splits_aborted = cp.splits_aborted;
-        self.stats.merges_completed = cp.merges_completed;
-        self.stats.merges_aborted = cp.merges_aborted;
-        let shard_count = self
-            .cp
-            .sharding_spec()
-            .map(|s| s.shard_count() as u64)
-            .unwrap_or(0);
-        self.stats.peak_shards = self.stats.peak_shards.max(shard_count);
-        self.last_cp_stats = cp;
-        self.trace.record("shards", now, shard_count as f64);
-        self.trace
-            .record("splits_completed", now, cp.splits_completed as f64);
-        self.trace
-            .record("merges_completed", now, cp.merges_completed as f64);
-        self.trace.record(
-            "in_flight_reshards",
-            now,
-            self.cp.in_flight_reshards() as f64,
-        );
-        self.trace.record("served", now, self.stats.served as f64);
-        self.trace.record("dropped", now, self.stats.dropped as f64);
-    }
-
     /// Audits the coverage invariant on the authoritative spec: its
     /// ranges must partition the key space at every instant — split and
     /// merge commits are atomic spec swaps, so no intermediate state is
@@ -1334,7 +1114,7 @@ impl SplitWorld {
                 )
             })
             .collect();
-        self.oracle.keyspace_coverage(now, &ranges);
+        self.kernel.oracle.keyspace_coverage(now, &ranges);
     }
 
     /// Quiescence: heal everything, settle the control plane against
@@ -1344,8 +1124,8 @@ impl SplitWorld {
         let at = self.cfg.end;
         // Defensive heal (the plan pairs every fault with a recovery,
         // but a shrunk plan may have dropped one).
-        self.net.heal_partition();
-        self.net.heal_degradation();
+        self.kernel.net.heal_partition();
+        self.kernel.net.heal_degradation();
         let ids: Vec<ServerId> = self.hosts.keys().copied().collect();
         for s in &ids {
             let was_down = self.hosts.get(s).map(|h| !h.up).unwrap_or(false);
@@ -1386,13 +1166,14 @@ impl SplitWorld {
         let unplaced = self.unplaced_count();
         let in_flight = self.cp.in_flight_migrations() + self.cp.in_flight_reshards();
         let divergence = self.router_divergence();
-        self.oracle
+        self.kernel
+            .oracle
             .convergence_check(at, unplaced, in_flight, divergence);
         // Every issued request must have resolved by now: the retry
         // budget (max_attempts × retry_delay) fits inside the post-
         // traffic tail, so anything still outstanding was lost track
         // of — a lost request.
-        self.oracle.quiescent_drain_check(at);
+        self.kernel.oracle.quiescent_drain_check(at);
     }
 }
 
@@ -1409,21 +1190,12 @@ impl World for SplitWorld {
                 hops,
             } => self.deliver(req, shard, target, hops, ctx),
             SplitEvent::Retry { req } => self.route(req, ctx),
-            SplitEvent::RpcSend { id, server, rpc } => self.rpc_send(id, server, rpc, ctx),
-            SplitEvent::RpcResult {
-                id,
-                server,
-                rpc,
-                ok,
-            } => self.rpc_result(id, server, rpc, ok, ctx),
-            SplitEvent::RpcTimeout { id } => self.rpc_timeout(id, ctx),
+            SplitEvent::Rpc(event) => self.rpc_event(event, ctx),
             SplitEvent::DetectDown(i) => self.detect_down(i, ctx),
-            SplitEvent::FaultHit(i) => {
-                if let Some((_, fault)) = self.plan.get(i).copied() {
-                    self.apply_fault(fault, ctx);
-                    self.flush_commands(ctx);
-                    ctx.state_changed();
-                }
+            SplitEvent::FaultHit(fault) => {
+                self.apply_fault(fault, ctx);
+                self.flush_commands(ctx);
+                ctx.state_changed();
             }
             SplitEvent::RetryTick => self.retry_tick(ctx),
             SplitEvent::ReshardTick => self.reshard_tick(ctx),
@@ -1431,8 +1203,44 @@ impl World for SplitWorld {
         }
     }
 
+    /// The oracle sweep (change-driven plus a coarse safety net): audit
+    /// key-space coverage on the authoritative spec, count
+    /// completed/aborted operations, and record trace points.
     fn sweep(&mut self, ctx: &mut Ctx<'_, SplitEvent>) {
-        self.scan(ctx);
+        let now = ctx.now();
+        if now > self.cfg.end {
+            return;
+        }
+        self.audit_coverage(now);
+        let cp = self.cp.stats();
+        self.stats.splits_completed = cp.splits_completed;
+        self.stats.splits_aborted = cp.splits_aborted;
+        self.stats.merges_completed = cp.merges_completed;
+        self.stats.merges_aborted = cp.merges_aborted;
+        let shard_count = self
+            .cp
+            .sharding_spec()
+            .map(|s| s.shard_count() as u64)
+            .unwrap_or(0);
+        self.stats.peak_shards = self.stats.peak_shards.max(shard_count);
+        self.kernel.trace.record("shards", now, shard_count as f64);
+        self.kernel
+            .trace
+            .record("splits_completed", now, cp.splits_completed as f64);
+        self.kernel
+            .trace
+            .record("merges_completed", now, cp.merges_completed as f64);
+        self.kernel.trace.record(
+            "in_flight_reshards",
+            now,
+            self.cp.in_flight_reshards() as f64,
+        );
+        self.kernel
+            .trace
+            .record("served", now, self.stats.served as f64);
+        self.kernel
+            .trace
+            .record("dropped", now, self.stats.dropped as f64);
     }
 
     fn sweep_interval(&self) -> Option<SimDuration> {
@@ -1440,205 +1248,80 @@ impl World for SplitWorld {
     }
 }
 
+impl FaultWorld for SplitWorld {
+    type Config = SplitConfig;
+    type Stats = SplitStats;
+    const NAME: &'static str = "split";
+    const MUTATION: &'static str = "skip_cutover_ack";
+
+    fn config(cell: DstConfig) -> SplitConfig {
+        let mut cfg = SplitConfig::dst(cell.seed, cell.profile);
+        cfg.skip_cutover_ack = cell.mutate;
+        cfg
+    }
+
+    fn seed_and_end(cfg: &SplitConfig) -> (u64, SimTime) {
+        (cfg.seed, cfg.end)
+    }
+
+    fn build(cfg: SplitConfig, plan: Option<Vec<(SimTime, Fault)>>) -> Self {
+        // No mini-SMs in this world: the plan covers servers and the
+        // network only.
+        let plan =
+            plan.unwrap_or_else(|| fault_plan(&cfg.profile.config(cfg.seed, cfg.servers, 0)));
+        Self::bootstrap(cfg, plan)
+    }
+
+    fn kernel(&self) -> &Kernel {
+        &self.kernel
+    }
+
+    fn fault_hit(fault: Fault) -> SplitEvent {
+        SplitEvent::FaultHit(fault)
+    }
+
+    fn start(&self) -> Vec<(SimTime, SplitEvent)> {
+        let mut events: Vec<(SimTime, SplitEvent)> = (0..self.cfg.clients)
+            .map(|c| {
+                (
+                    SimTime::from_millis(5_000 + 37 * u64::from(c)),
+                    SplitEvent::ClientTick(c),
+                )
+            })
+            .collect();
+        events.extend([
+            (SimTime::from_secs(1), SplitEvent::RetryTick),
+            (SimTime::from_secs(2), SplitEvent::ReshardTick),
+            (SimTime::from_millis(700), SplitEvent::RouterRefresh),
+        ]);
+        events
+    }
+
+    /// Whatever is still in flight at `end` is abandoned; `finalize`
+    /// settles the control plane synchronously against the healed
+    /// fleet.
+    fn finish(mut self) -> SplitReport {
+        self.finalize();
+        let converged = self.converged();
+        let unplaced = self.unplaced_count();
+        Report::new(self.stats, &self.kernel, converged, unplaced)
+    }
+
+    fn summary(stats: &SplitStats) -> String {
+        format!(
+            "served={} splits={}+{}a merges={}+{}a peak={}",
+            stats.served,
+            stats.splits_completed,
+            stats.splits_aborted,
+            stats.merges_completed,
+            stats.merges_aborted,
+            stats.peak_shards
+        )
+    }
+}
+
 /// Outcome of one skew-storm run.
-#[derive(Debug)]
-pub struct SplitReport {
-    /// Traffic, resharding, and fault counters.
-    pub stats: SplitStats,
-    /// Network delivery counters.
-    pub net: NetStats,
-    /// Invariant violations the oracle observed (empty on a safe run).
-    pub violations: Vec<OracleViolation>,
-    /// Total violations, uncapped (the list above is capped).
-    pub total_violations: u64,
-    /// True when, at the end, every spec shard had a primary and
-    /// nothing was stuck mid-operation.
-    pub converged: bool,
-    /// Spec shards lacking a primary at the end (diagnostics).
-    pub unplaced: usize,
-    /// The fault plan the run executed (replay/shrink input).
-    pub plan: Vec<(SimTime, Fault)>,
-    /// The run's time-series trace, rendered as CSV (5 s buckets) —
-    /// byte-identical across reruns of the same seed and plan.
-    pub trace_csv: String,
-}
-
-impl SplitReport {
-    /// True when the oracle observed at least one invariant violation.
-    pub fn failed(&self) -> bool {
-        self.total_violations > 0
-    }
-
-    /// The distinct invariant kinds violated.
-    pub fn violated_kinds(&self) -> BTreeSet<InvariantKind> {
-        self.violations.iter().map(|v| v.kind).collect()
-    }
-
-    /// A canonical one-line-per-violation rendering — two runs have
-    /// identical oracle verdicts iff these strings are equal.
-    pub fn verdict(&self) -> String {
-        let mut out = format!("total={}\n", self.total_violations);
-        for v in &self.violations {
-            out.push_str(&format!("{} {} {}\n", v.at.0, v.kind.name(), v.detail));
-        }
-        out
-    }
-}
-
-/// Runs one seeded skew-storm experiment to completion.
-pub fn run_split(cfg: SplitConfig) -> SplitReport {
-    run_split_queued(cfg, QueueKind::default())
-}
-
-/// [`run_split`] on an explicit engine queue implementation — the
-/// differential-testing entry point.
-pub fn run_split_queued(cfg: SplitConfig, kind: QueueKind) -> SplitReport {
-    run_world(SplitWorld::new(cfg), cfg, kind)
-}
-
-/// Runs a skew-storm experiment with an explicit fault plan — the
-/// replay and shrink path. The plan must be time-sorted.
-pub fn run_split_with_plan(cfg: SplitConfig, plan: Vec<(SimTime, Fault)>) -> SplitReport {
-    run_world(
-        SplitWorld::new_with_plan(cfg, plan),
-        cfg,
-        QueueKind::default(),
-    )
-}
-
-/// Runs every job in the grid and returns reports in input order; each
-/// run is single-threaded and pure, so `threads` changes only
-/// wall-clock time.
-pub fn run_split_swarm(jobs: &[SplitConfig], threads: usize) -> Vec<SplitReport> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(|&cfg| run_split(cfg)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SplitReport>>> =
-        Mutex::new((0..jobs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&cfg) = jobs.get(i) else { break };
-                let report = run_split(cfg);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(report);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_default()
-        .into_iter()
-        .map(|r| r.expect("every job index was claimed by exactly one worker"))
-        .collect()
-}
-
-/// Shrinks a failing skew-storm fault plan to a minimal reproducer,
-/// reusing the chaos shrinker's ddmin core: a candidate counts as
-/// still-failing when it violates one of the originally observed
-/// invariant kinds.
-pub fn shrink_split(cfg: SplitConfig, plan: &[(SimTime, Fault)]) -> Option<Vec<(SimTime, Fault)>> {
-    let kinds = run_split_with_plan(cfg, plan.to_vec()).violated_kinds();
-    if kinds.is_empty() {
-        return None;
-    }
-    shrink_plan(plan, |candidate| {
-        run_split_with_plan(cfg, candidate.to_vec())
-            .violations
-            .iter()
-            .any(|v| kinds.contains(&v.kind))
-    })
-}
-
-fn run_world(world: SplitWorld, cfg: SplitConfig, kind: QueueKind) -> SplitReport {
-    let plan_times: Vec<SimTime> = world.plan.iter().map(|(at, _)| *at).collect();
-    let mut sim = Simulation::with_queue(world, cfg.seed, kind);
-    for (i, at) in plan_times.iter().enumerate() {
-        sim.schedule_at(*at, SplitEvent::FaultHit(i));
-    }
-    for c in 0..cfg.clients {
-        sim.schedule_at(
-            SimTime::from_millis(5_000 + 37 * u64::from(c)),
-            SplitEvent::ClientTick(c),
-        );
-    }
-    sim.schedule_at(SimTime::from_secs(1), SplitEvent::RetryTick);
-    sim.schedule_at(SimTime::from_secs(2), SplitEvent::ReshardTick);
-    sim.schedule_at(SimTime::from_millis(700), SplitEvent::RouterRefresh);
-    sim.run_until(cfg.end);
-    // Whatever is still in flight at `end` is abandoned; `finalize`
-    // settles the control plane synchronously against the healed fleet.
-    let mut world = sim.into_world();
-    world.finalize();
-    let converged = world.converged();
-    let unplaced = world.unplaced_count();
-    SplitReport {
-        stats: world.stats,
-        net: world.net.stats(),
-        violations: world.oracle.violations().to_vec(),
-        total_violations: world.oracle.total_violations(),
-        converged,
-        unplaced,
-        plan: world.plan.clone(),
-        trace_csv: world.trace.to_csv(5),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Replayable reproducer JSON (shares the fault codec with `dst`).
-// ---------------------------------------------------------------------
-
-/// Serializes a skew-storm reproducer — the config knobs that matter
-/// plus its (possibly shrunk) fault plan — as a self-contained JSON
-/// document.
-pub fn split_repro_to_json(cfg: &SplitConfig, plan: &[(SimTime, Fault)]) -> String {
-    let events: Vec<String> = plan
-        .iter()
-        .map(|(at, f)| format!("    {{\"at_us\":{},\"fault\":{}}}", at.0, fault_to_json(*f)))
-        .collect();
-    format!(
-        "{{\n  \"world\": \"split\",\n  \"seed\": {},\n  \"profile\": \"{}\",\n  \"adaptive\": {},\n  \"skip_cutover_ack\": {},\n  \"plan\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.adaptive,
-        cfg.skip_cutover_ack,
-        events.join(",\n")
-    )
-}
-
-/// Parses a reproducer produced by [`split_repro_to_json`] back into
-/// the standard DST-shaped config plus its plan. Returns `None` on any
-/// malformed input (never panics).
-pub fn split_repro_from_json(text: &str) -> Option<(SplitConfig, Vec<(SimTime, Fault)>)> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let doc = parser.value()?;
-    if doc.get("world")?.as_str()? != "split" {
-        return None;
-    }
-    let mut cfg = SplitConfig::dst(
-        doc.get("seed")?.as_u64()?,
-        FaultProfile::parse(doc.get("profile")?.as_str()?)?,
-    );
-    cfg.adaptive = doc.get("adaptive")?.as_bool()?;
-    cfg.skip_cutover_ack = doc.get("skip_cutover_ack")?.as_bool()?;
-    let Json::Arr(events) = doc.get("plan")? else {
-        return None;
-    };
-    let mut plan = Vec::with_capacity(events.len());
-    for e in events {
-        let at = SimTime(e.get("at_us")?.as_u64()?);
-        plan.push((at, fault_from_json(e.get("fault")?)?));
-    }
-    Some((cfg, plan))
-}
+pub type SplitReport = Report<SplitStats>;
 
 #[cfg(test)]
 mod tests {
@@ -1646,7 +1329,7 @@ mod tests {
 
     #[test]
     fn world_bootstraps_with_every_shard_placed() {
-        let w = SplitWorld::new(SplitConfig::dst(1, FaultProfile::SplitChaos));
+        let w = SplitWorld::build(SplitConfig::dst(1, FaultProfile::SplitChaos), None);
         assert_eq!(w.unplaced_count(), 0, "every shard gets a primary");
         assert!(w.converged());
         assert_eq!(
@@ -1654,7 +1337,10 @@ mod tests {
             Some(8),
             "initial uniform spec registered"
         );
-        assert!(!w.plan.is_empty(), "profile derives a fault schedule");
+        assert!(
+            !w.kernel.plan.is_empty(),
+            "profile derives a fault schedule"
+        );
         // The client router already agrees with the assignment.
         let mut w = w;
         assert_eq!(w.router_divergence(), 0);
@@ -1666,7 +1352,7 @@ mod tests {
         // splits through the generalized protocol, the cooldown must
         // drive merges, and nothing may be lost.
         let cfg = SplitConfig::dst(7, FaultProfile::SplitChaos);
-        let r = run_split_with_plan(cfg, Vec::new());
+        let r = SplitWorld::run_with_plan(cfg, Vec::new());
         assert_eq!(r.total_violations, 0, "oracle: {:?}", r.violations);
         assert!(r.converged, "{} unplaced", r.unplaced);
         assert!(
@@ -1693,33 +1379,9 @@ mod tests {
     fn static_sharding_never_resplits() {
         let mut cfg = SplitConfig::dst(7, FaultProfile::SplitChaos);
         cfg.adaptive = false;
-        let r = run_split_with_plan(cfg, Vec::new());
+        let r = SplitWorld::run_with_plan(cfg, Vec::new());
         assert_eq!(r.stats.splits_completed, 0);
         assert_eq!(r.stats.peak_shards, 8);
         assert_eq!(r.total_violations, 0, "static is safe, just overloaded");
-    }
-
-    #[test]
-    fn split_repro_json_round_trips() {
-        let mut cfg = SplitConfig::dst(9, FaultProfile::SplitChaos);
-        cfg.skip_cutover_ack = true;
-        let plan = vec![
-            (SimTime::from_secs(21), Fault::ServerCrash(2)),
-            (
-                SimTime::from_secs(24),
-                Fault::NetDegrade {
-                    drop_pct: 5,
-                    dup_pct: 3,
-                },
-            ),
-            (SimTime::from_secs(31), Fault::ServerRestart(2)),
-            (SimTime::from_secs(34), Fault::NetHeal),
-        ];
-        let json = split_repro_to_json(&cfg, &plan);
-        let (cfg2, plan2) = split_repro_from_json(&json).expect("own output parses");
-        assert_eq!(cfg, cfg2);
-        assert_eq!(plan, plan2);
-        // A reconfig reproducer is not a split reproducer.
-        assert!(split_repro_from_json("{\"seed\": 1}").is_none());
     }
 }

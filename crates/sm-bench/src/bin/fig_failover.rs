@@ -7,7 +7,8 @@
 //! no migration in flight), request outcomes, and fencing activity.
 //! Reruns with the same seed are byte-identical.
 
-use sm_apps::chaos::{run_chaos, ChaosConfig};
+use sm_apps::chaos::{ChaosConfig, ChaosWorld};
+use sm_apps::FaultWorld;
 use sm_bench::{banner, compare, table, Scale};
 
 fn main() {
@@ -26,17 +27,18 @@ fn main() {
     let mut total_dropped = 0u64;
     let mut total_dual = 0u64;
     for &seed in &seeds {
-        let r = run_chaos(ChaosConfig::covering(seed));
-        let mean_ms = if r.recoveries_ms.is_empty() {
+        let r = ChaosWorld::run(ChaosConfig::covering(seed));
+        let recoveries_ms = &r.stats.recoveries_ms;
+        let mean_ms = if recoveries_ms.is_empty() {
             f64::NAN
         } else {
-            r.recoveries_ms.iter().sum::<f64>() / r.recoveries_ms.len() as f64
+            recoveries_ms.iter().sum::<f64>() / recoveries_ms.len() as f64
         };
-        let max_ms = r.recoveries_ms.iter().copied().fold(f64::NAN, f64::max);
+        let max_ms = recoveries_ms.iter().copied().fold(f64::NAN, f64::max);
         rows.push(vec![
             seed.to_string(),
             r.stats.minism_crashes.to_string(),
-            r.ha.failovers.to_string(),
+            r.stats.ha.failovers.to_string(),
             format!("{:.0}", mean_ms),
             format!("{:.0}", max_ms),
             r.stats.served.to_string(),
@@ -44,7 +46,7 @@ fn main() {
             r.stats.dual_primary.to_string(),
             if r.converged { "yes" } else { "NO" }.to_string(),
         ]);
-        all_recoveries.extend(r.recoveries_ms.iter().copied());
+        all_recoveries.extend(recoveries_ms.iter().copied());
         total_served += r.stats.served;
         total_dropped += r.stats.dropped;
         total_dual += r.stats.dual_primary;

@@ -24,7 +24,7 @@
 //! The simulated workload is seeded — output is byte-identical run to
 //! run.
 
-use sm_apps::{run_split, run_split_with_plan, SplitConfig, SplitReport};
+use sm_apps::{FaultWorld, SplitConfig, SplitReport, SplitWorld};
 use sm_sim::faults::FaultProfile;
 use std::fmt::Write as _;
 
@@ -108,9 +108,9 @@ fn main() {
                 let mut cfg = SplitConfig::dst(seed, FaultProfile::SplitChaos);
                 cfg.adaptive = adaptive;
                 if chaos {
-                    run_split(cfg)
+                    SplitWorld::run(cfg)
                 } else {
-                    run_split_with_plan(cfg, Vec::new())
+                    SplitWorld::run_with_plan(cfg, Vec::new())
                 }
             })
             .collect()

@@ -1,38 +1,37 @@
-//! Seed-swarm DST runner: explores `(seed, fault profile)` grid cells,
-//! shrinks any failure to a minimal reproducer, and emits it as
-//! replayable JSON.
+//! Seed-swarm DST runner: explores `(seed, fault profile)` grid cells
+//! of one fault world, shrinks any failure to a minimal reproducer, and
+//! emits it as replayable JSON.
 //!
 //! ```text
-//! swarm [--world chaos|split] [--seeds N] [--start-seed S]
+//! swarm [--world chaos|reconfig|split] [--seeds N] [--start-seed S]
 //!       [--profiles a,b,c] [--threads T] [--mutate] [--out DIR]
 //!       [--replay FILE]
 //! ```
 //!
 //! - Default grid: seeds `S..S+N` (N = 8) across every fault profile.
-//! - `--world split` swaps the chaos world for the skew-storm
-//!   adaptive-sharding world (splits and merges under load skew).
+//! - `--world` picks the world: `chaos` (the HA control plane under
+//!   crashes, expiries and partitions; the default), `reconfig`
+//!   (joint-consensus membership changes under churn) or `split`
+//!   (adaptive splits and merges under load skew).
 //! - `--mutate` enables the world's documented mutation — disabled
-//!   §3.2 self-fencing for the chaos world, commit-at-cutover-send
-//!   (`skip_cutover_ack`) for the split world — to demonstrate the
+//!   §3.2 self-fencing (chaos), single-step membership changes
+//!   (reconfig), commit-at-cutover-send (split) — to demonstrate the
 //!   oracle catching real violations and the shrinker reducing them.
+//! - Every shrunk reproducer is re-verified before it is reported: its
+//!   JSON is parsed back and replayed, and one that no longer fails is
+//!   called out.
 //! - `--replay FILE` re-runs one reproducer JSON (as emitted by a
 //!   failing swarm) and reports its oracle verdict. The file itself
 //!   names the world it reproduces.
 //!
 //! Exit status: 0 when every cell is violation-free, 1 otherwise.
 
-use sm_apps::dst::{
-    repro_from_json, repro_to_json, run_dst_with_plan, run_swarm, shrink, DstConfig,
-};
-use sm_apps::split::{
-    run_split_swarm, run_split_with_plan, shrink_split, split_repro_from_json, split_repro_to_json,
-    SplitConfig,
-};
+use sm_apps::{ChaosWorld, DstConfig, FaultWorld, ReconfigWorld, SplitWorld};
 use sm_sim::faults::FaultProfile;
 use std::process::ExitCode;
 
 struct Args {
-    world: WorldKind,
+    world: String,
     seeds: u64,
     start_seed: u64,
     profiles: Vec<FaultProfile>,
@@ -42,15 +41,9 @@ struct Args {
     replay: Option<String>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WorldKind {
-    Chaos,
-    Split,
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        world: WorldKind::Chaos,
+        world: ChaosWorld::NAME.to_string(),
         seeds: 8,
         start_seed: 0,
         profiles: FaultProfile::ALL.to_vec(),
@@ -63,13 +56,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--world" => {
-                args.world = match val("--world")?.as_str() {
-                    "chaos" => WorldKind::Chaos,
-                    "split" => WorldKind::Split,
-                    other => return Err(format!("unknown world: {other}")),
-                }
-            }
+            "--world" => args.world = val("--world")?,
             "--seeds" => args.seeds = val("--seeds")?.parse().map_err(|e| format!("{e}"))?,
             "--start-seed" => {
                 args.start_seed = val("--start-seed")?.parse().map_err(|e| format!("{e}"))?
@@ -90,184 +77,61 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn replay(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("swarm: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The reproducer names its world: split reproducers carry
-    // `"world": "split"`, chaos reproducers predate the field.
-    if let Some((cfg, plan)) = split_repro_from_json(&text) {
-        println!(
-            "replaying world=split seed={} profile={} mutation={} ({} fault events)",
-            cfg.seed,
-            cfg.profile.name(),
-            cfg.skip_cutover_ack,
-            plan.len()
-        );
-        let report = run_split_with_plan(cfg, plan);
-        print!("{}", report.verdict());
-        return if report.failed() {
-            ExitCode::FAILURE
-        } else {
-            println!("reproducer no longer fails");
-            ExitCode::SUCCESS
-        };
-    }
-    let Some((cfg, plan)) = repro_from_json(&text) else {
-        eprintln!("swarm: {path} is not a reproducer JSON");
-        return ExitCode::FAILURE;
-    };
+/// Replays `text` if it is a reproducer of world `W`.
+fn replay<W: FaultWorld>(text: &str) -> Option<ExitCode> {
+    let (cell, plan) = W::repro_from_json(text)?;
     println!(
-        "replaying seed={} profile={} mutation={} ({} fault events)",
-        cfg.seed,
-        cfg.profile.name(),
-        cfg.disable_self_fencing,
+        "replaying world={} seed={} profile={} {}={} ({} fault events)",
+        W::NAME,
+        cell.seed,
+        cell.profile.name(),
+        W::MUTATION,
+        cell.mutate,
         plan.len()
     );
-    let report = run_dst_with_plan(cfg, plan);
+    let report = W::run_with_plan(W::config(cell), plan);
     print!("{}", report.verdict());
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
+    if !report.failed() {
         println!("reproducer no longer fails");
-        ExitCode::SUCCESS
     }
+    Some(ExitCode::from(u8::from(report.failed())))
 }
 
-fn chaos_swarm(args: &Args) -> ExitCode {
-    let jobs: Vec<DstConfig> = args
+/// Runs the grid in world `W`, shrinking, re-verifying and emitting a
+/// reproducer for every failing cell.
+fn swarm<W: FaultWorld>(args: &Args) -> ExitCode {
+    let cells: Vec<DstConfig> = args
         .profiles
         .iter()
         .flat_map(|&profile| {
             (args.start_seed..args.start_seed + args.seeds).map(move |seed| DstConfig {
                 seed,
                 profile,
-                disable_self_fencing: args.mutate,
+                mutate: args.mutate,
             })
         })
         .collect();
     println!(
-        "swarm: {} cells ({} seeds x {} profiles), {} threads{}",
-        jobs.len(),
+        "swarm: world={}, {} cells ({} seeds x {} profiles), {} threads{}",
+        W::NAME,
+        cells.len(),
         args.seeds,
         args.profiles.len(),
         args.threads,
         if args.mutate {
-            ", FENCING MUTATION ON"
+            format!(", MUTATION {} ON", W::MUTATION)
         } else {
-            ""
+            String::new()
         }
     );
 
-    let reports = run_swarm(&jobs, args.threads);
+    let cfgs: Vec<W::Config> = cells.iter().map(|&cell| W::config(cell)).collect();
+    let reports = W::swarm(&cfgs, args.threads);
     let mut failures = 0u64;
-    for report in &reports {
-        let tag = format!(
-            "seed={:<4} profile={:<14}",
-            report.cfg.seed,
-            report.cfg.profile.name()
-        );
+    for ((cell, &cfg), report) in cells.iter().zip(&cfgs).zip(&reports) {
+        let tag = format!("seed={:<4} profile={:<14}", cell.seed, cell.profile.name());
         if !report.failed() {
-            println!(
-                "  ok   {tag} served={} fences={} partitions={}",
-                report.chaos.stats.served,
-                report.chaos.stats.self_fences,
-                report.chaos.stats.net_partitions
-            );
-            continue;
-        }
-        failures += 1;
-        println!(
-            "  FAIL {tag} {} violation(s): {:?}",
-            report.chaos.total_violations,
-            report.violated_kinds()
-        );
-        // Shrink the failing plan to a minimal reproducer.
-        let original = &report.chaos.plan;
-        let minimal = shrink(report.cfg, original).unwrap_or_else(|| original.clone());
-        println!(
-            "       shrunk {} -> {} fault events",
-            original.len(),
-            minimal.len()
-        );
-        let json = repro_to_json(report.cfg, &minimal);
-        match &args.out {
-            Some(dir) => {
-                let file = format!(
-                    "{dir}/repro-{}-{}.json",
-                    report.cfg.profile.name(),
-                    report.cfg.seed
-                );
-                if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| {
-                    // Re-verify before writing so the artifact is known
-                    // good.
-                    let check = run_dst_with_plan(report.cfg, minimal.clone());
-                    debug_assert!(check.failed() || !report.failed());
-                    std::fs::write(&file, &json)
-                }) {
-                    eprintln!("swarm: writing {file}: {e}");
-                } else {
-                    println!("       reproducer: {file}");
-                }
-            }
-            None => print!("{json}"),
-        }
-    }
-    println!(
-        "swarm: {}/{} cells violation-free",
-        reports.len() as u64 - failures,
-        reports.len()
-    );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn split_swarm(args: &Args) -> ExitCode {
-    let jobs: Vec<SplitConfig> = args
-        .profiles
-        .iter()
-        .flat_map(|&profile| {
-            (args.start_seed..args.start_seed + args.seeds).map(move |seed| {
-                let mut cfg = SplitConfig::dst(seed, profile);
-                cfg.skip_cutover_ack = args.mutate;
-                cfg
-            })
-        })
-        .collect();
-    println!(
-        "swarm: world=split, {} cells ({} seeds x {} profiles), {} threads{}",
-        jobs.len(),
-        args.seeds,
-        args.profiles.len(),
-        args.threads,
-        if args.mutate {
-            ", CUTOVER-ACK MUTATION ON"
-        } else {
-            ""
-        }
-    );
-
-    let reports = run_split_swarm(&jobs, args.threads);
-    let mut failures = 0u64;
-    for (cfg, report) in jobs.iter().zip(&reports) {
-        let tag = format!("seed={:<4} profile={:<14}", cfg.seed, cfg.profile.name());
-        if !report.failed() {
-            println!(
-                "  ok   {tag} served={} splits={}+{}a merges={}+{}a peak={}",
-                report.stats.served,
-                report.stats.splits_completed,
-                report.stats.splits_aborted,
-                report.stats.merges_completed,
-                report.stats.merges_aborted,
-                report.stats.peak_shards
-            );
+            println!("  ok   {tag} {}", W::summary(&report.stats));
             continue;
         }
         failures += 1;
@@ -277,16 +141,28 @@ fn split_swarm(args: &Args) -> ExitCode {
             report.violated_kinds()
         );
         let original = &report.plan;
-        let minimal = shrink_split(*cfg, original).unwrap_or_else(|| original.clone());
+        let minimal = W::shrink(cfg, original).unwrap_or_else(|| original.clone());
         println!(
             "       shrunk {} -> {} fault events",
             original.len(),
             minimal.len()
         );
-        let json = split_repro_to_json(cfg, &minimal);
+        let json = W::repro_to_json(*cell, &minimal);
+        // Re-verify the artifact exactly as a reader will use it: parsed
+        // back from its JSON and replayed.
+        let reproduces = W::repro_from_json(&json)
+            .is_some_and(|(cell, plan)| W::run_with_plan(W::config(cell), plan).failed());
+        if !reproduces {
+            println!("       reproducer no longer fails");
+        }
         match &args.out {
             Some(dir) => {
-                let file = format!("{dir}/repro-split-{}-{}.json", cfg.profile.name(), cfg.seed);
+                let file = format!(
+                    "{dir}/repro-{}-{}-{}.json",
+                    W::NAME,
+                    cell.profile.name(),
+                    cell.seed
+                );
                 if let Err(e) =
                     std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&file, &json))
                 {
@@ -303,11 +179,7 @@ fn split_swarm(args: &Args) -> ExitCode {
         reports.len() as u64 - failures,
         reports.len()
     );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(u8::from(failures > 0))
 }
 
 fn main() -> ExitCode {
@@ -319,10 +191,29 @@ fn main() -> ExitCode {
         }
     };
     if let Some(path) = &args.replay {
-        return replay(path);
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("swarm: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        // A document parses only for the world it names.
+        return replay::<ChaosWorld>(&text)
+            .or_else(|| replay::<ReconfigWorld>(&text))
+            .or_else(|| replay::<SplitWorld>(&text))
+            .unwrap_or_else(|| {
+                eprintln!("swarm: {path} is not a reproducer JSON");
+                ExitCode::FAILURE
+            });
     }
-    match args.world {
-        WorldKind::Chaos => chaos_swarm(&args),
-        WorldKind::Split => split_swarm(&args),
+    match args.world.as_str() {
+        ChaosWorld::NAME => swarm::<ChaosWorld>(&args),
+        ReconfigWorld::NAME => swarm::<ReconfigWorld>(&args),
+        SplitWorld::NAME => swarm::<SplitWorld>(&args),
+        other => {
+            eprintln!("swarm: unknown world: {other}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -55,6 +55,12 @@ cargo test --test reconfig -q
 step "split gate (adaptive splitting/merging under the skew storm)"
 cargo test --test split -q
 
+step "swarm smoke (one generic swarm loop per fault world, 2 seeds each)"
+for world_profile in chaos:mixed reconfig:reconfig_chaos split:split_chaos; do
+  cargo run --release -q -p sm-bench --bin swarm -- \
+    --world "${world_profile%%:*}" --seeds 2 --profiles "${world_profile#*:}"
+done
+
 step "bench gates (recorded router + simulator floors)"
 cargo test --test bench_router --test bench_sim -q
 

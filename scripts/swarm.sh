@@ -3,7 +3,7 @@
 # automatic shrinking of any failure to a replayable JSON reproducer.
 #
 # Usage: scripts/swarm.sh [SEEDS|--nightly] [extra swarm flags...]
-#   scripts/swarm.sh                  # 64 seeds x all profiles
+#   scripts/swarm.sh                  # 64 seeds x all profiles, chaos world
 #   scripts/swarm.sh 256              # bigger sweep
 #   scripts/swarm.sh --nightly        # 1000 seeds x all profiles — the
 #                                     # nightly soak; the calendar event
@@ -11,9 +11,14 @@
 #                                     # run, not an hours-scale one
 #   scripts/swarm.sh 16 --mutate      # demonstrate the oracle catching
 #                                     # the broken-fencing mutation
-#   scripts/swarm.sh 8 --replay out/repro-lossy_net-2.json
+#   scripts/swarm.sh 8 --world reconfig --profiles reconfig_chaos
+#   scripts/swarm.sh 8 --world split --profiles split_chaos --mutate
+#                                     # --world chaos|reconfig|split
+#   scripts/swarm.sh 8 --replay target/swarm/repro-chaos-lossy_net-2.json
 #
-# Reproducers land in target/swarm/ and replay with:
+# Every shrunk reproducer is parsed back from its JSON and replayed
+# before it is reported. Reproducers land in target/swarm/ and replay
+# with:
 #   cargo run --release -p sm-bench --bin swarm -- --replay <file>
 set -euo pipefail
 cd "$(dirname "$0")/.."

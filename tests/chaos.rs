@@ -3,7 +3,7 @@
 //!
 //! Three layers of checks:
 //!
-//! - the full chaos run ([`shard_manager::apps::run_chaos`]) meets the
+//! - the full chaos run ([`shard_manager::apps::ChaosWorld`]) meets the
 //!   coverage floors (every mini-SM crashed, ≥10% of server sessions
 //!   expired) and the safety floors (no dual primary, no dropped
 //!   requests, converged after quiescence) with byte-identical traces
@@ -16,7 +16,9 @@
 //!   [`SmError`] and is provably absent from the znode.
 
 use shard_manager::allocator::{AllocConfig, MoveCaps};
-use shard_manager::apps::{run_chaos, AppResponse, ChaosConfig, ExternalStore, KvServer};
+use shard_manager::apps::{
+    AppResponse, ChaosConfig, ChaosWorld, ExternalStore, FaultWorld, KvServer,
+};
 use shard_manager::core::ha::{paths, HaControlPlane, ServerLease};
 use shard_manager::core::{
     ApplicationManager, OrchCommand, OrchestratorConfig, Partition, ServerRpc,
@@ -35,19 +37,19 @@ use std::rc::Rc;
 #[test]
 fn chaos_meets_acceptance_floors() {
     let cfg = ChaosConfig::covering(42);
-    let report = run_chaos(cfg);
+    let report = ChaosWorld::run(cfg);
 
     // Coverage floors.
     assert!(
-        report.crashed_minisms.len() >= report.initial_minisms,
+        report.stats.crashed_minisms.len() >= report.stats.initial_minisms,
         "every mini-SM must crash at least once: {:?} of {}",
-        report.crashed_minisms,
-        report.initial_minisms
+        report.stats.crashed_minisms,
+        report.stats.initial_minisms
     );
     assert!(
-        report.expired_sessions.len() * 10 >= cfg.servers as usize,
+        report.stats.expired_sessions.len() * 10 >= cfg.servers as usize,
         "at least 10% of server sessions must expire: {:?}",
-        report.expired_sessions
+        report.stats.expired_sessions
     );
     assert!(report.stats.server_crashes > 0, "{:?}", report.stats);
 
@@ -63,27 +65,32 @@ fn chaos_meets_acceptance_floors() {
     // The run did real work and real recovery.
     assert!(report.stats.served > 1_000, "{:?}", report.stats);
     assert!(
-        report.ha.failovers as usize >= report.initial_minisms,
+        report.stats.ha.failovers as usize >= report.stats.initial_minisms,
         "{:?}",
-        report.ha
+        report.stats.ha
     );
-    assert!(report.ha.snapshot_restores > 0, "{:?}", report.ha);
     assert!(
-        !report.recoveries_ms.is_empty(),
+        report.stats.ha.snapshot_restores > 0,
+        "{:?}",
+        report.stats.ha
+    );
+    assert!(
+        !report.stats.recoveries_ms.is_empty(),
         "recovery time must be measured"
     );
 }
 
 #[test]
 fn chaos_reruns_are_byte_identical_per_seed() {
-    let a = run_chaos(ChaosConfig::covering(7));
-    let b = run_chaos(ChaosConfig::covering(7));
+    let a = ChaosWorld::run(ChaosConfig::covering(7));
+    let b = ChaosWorld::run(ChaosConfig::covering(7));
     assert_eq!(a.trace_csv, b.trace_csv, "same seed must replay exactly");
     assert_eq!(a.stats, b.stats);
-    assert_eq!(a.recoveries_ms, b.recoveries_ms);
-    assert_eq!(a.crashed_minisms, b.crashed_minisms);
+    assert_eq!(a.rpc, b.rpc);
+    assert_eq!(a.stats.recoveries_ms, b.stats.recoveries_ms);
+    assert_eq!(a.stats.crashed_minisms, b.stats.crashed_minisms);
 
-    let c = run_chaos(ChaosConfig::covering(8));
+    let c = ChaosWorld::run(ChaosConfig::covering(8));
     assert_ne!(
         a.trace_csv, c.trace_csv,
         "different seeds must explore different histories"

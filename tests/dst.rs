@@ -17,9 +17,7 @@
 //!   JSON form;
 //! - reproducer JSON round-trips exactly.
 
-use shard_manager::apps::dst::{
-    repro_from_json, repro_to_json, run_dst, run_dst_with_plan, run_swarm, shrink, DstConfig,
-};
+use shard_manager::apps::{ChaosReport, ChaosWorld, DstConfig, FaultWorld};
 use shard_manager::sim::faults::FaultProfile;
 use shard_manager::sim::oracle::InvariantKind;
 
@@ -37,44 +35,51 @@ fn smoke_grid() -> Vec<DstConfig> {
         .collect()
 }
 
+/// Runs `cells` on `threads` workers; reports come back in input order.
+fn run_swarm(cells: &[DstConfig], threads: usize) -> Vec<ChaosReport> {
+    let cfgs: Vec<_> = cells.iter().map(|&c| ChaosWorld::config(c)).collect();
+    ChaosWorld::swarm(&cfgs, threads)
+}
+
 #[test]
 fn smoke_swarm_is_violation_free_and_not_vacuous() {
     let jobs = smoke_grid();
     let reports = run_swarm(&jobs, 4);
     assert_eq!(reports.len(), 24);
 
-    for r in &reports {
+    for (cell, r) in jobs.iter().zip(&reports) {
         assert_eq!(
-            r.chaos.total_violations,
+            r.total_violations,
             0,
             "seed={} profile={}: {:?}",
-            r.cfg.seed,
-            r.cfg.profile.name(),
-            r.chaos.violations
+            cell.seed,
+            cell.profile.name(),
+            r.violations
         );
-        assert!(r.chaos.converged, "seed={} did not converge", r.cfg.seed);
+        assert!(r.converged, "seed={} did not converge", cell.seed);
         assert!(
-            r.chaos.stats.served > 1000,
+            r.stats.served > 1000,
             "seed={} served only {}",
-            r.cfg.seed,
-            r.chaos.stats.served
+            cell.seed,
+            r.stats.served
         );
-        assert_eq!(r.chaos.stats.dropped, 0, "seed={}", r.cfg.seed);
+        assert_eq!(r.stats.dropped, 0, "seed={}", cell.seed);
     }
 
     // Non-vacuity: every partition-profile cell actually partitioned
     // the network (messages were blocked), made ZooKeeper expire at
     // least one silent session, and drove at least one server to
     // self-fence — the §3.2 mechanism under test really ran.
-    for r in reports
+    for (cell, r) in jobs
         .iter()
-        .filter(|r| r.cfg.profile != FaultProfile::Mixed)
+        .zip(&reports)
+        .filter(|(cell, _)| cell.profile != FaultProfile::Mixed)
     {
-        let tag = format!("seed={} profile={}", r.cfg.seed, r.cfg.profile.name());
-        assert!(r.chaos.stats.net_partitions >= 2, "{tag}: no partitions");
-        assert!(r.chaos.net.blocked > 0, "{tag}: partition blocked nothing");
-        assert!(r.chaos.stats.zk_expiries >= 1, "{tag}: no ZK expiry");
-        assert!(r.chaos.stats.self_fences >= 1, "{tag}: no self-fence");
+        let tag = format!("seed={} profile={}", cell.seed, cell.profile.name());
+        assert!(r.stats.net_partitions >= 2, "{tag}: no partitions");
+        assert!(r.net.blocked > 0, "{tag}: partition blocked nothing");
+        assert!(r.stats.zk_expiries >= 1, "{tag}: no ZK expiry");
+        assert!(r.stats.self_fences >= 1, "{tag}: no self-fence");
     }
 }
 
@@ -89,20 +94,20 @@ fn same_cell_is_byte_identical_across_thread_counts() {
         .collect();
     let wide = run_swarm(&grid, 4);
     let narrow = run_swarm(&grid, 2);
-    let solo = run_dst(cell);
+    let solo = ChaosWorld::run(ChaosWorld::config(cell));
 
     let from_wide = &wide[3];
     let from_narrow = &narrow[3];
-    assert_eq!(from_wide.cfg, cell);
-    assert_eq!(from_wide.chaos.trace_csv, from_narrow.chaos.trace_csv);
-    assert_eq!(from_wide.chaos.trace_csv, solo.chaos.trace_csv);
+    assert_eq!(grid[3], cell);
+    assert_eq!(from_wide.trace_csv, from_narrow.trace_csv);
+    assert_eq!(from_wide.trace_csv, solo.trace_csv);
     assert_eq!(from_wide.verdict(), from_narrow.verdict());
     assert_eq!(from_wide.verdict(), solo.verdict());
-    assert_eq!(from_wide.chaos.plan, solo.chaos.plan);
+    assert_eq!(from_wide.plan, solo.plan);
 
     // Different seeds still differ (the comparison above is not
     // trivially comparing empty traces).
-    assert_ne!(wide[2].chaos.trace_csv, wide[3].chaos.trace_csv);
+    assert_ne!(wide[2].trace_csv, wide[3].trace_csv);
 }
 
 /// THE DOCUMENTED MUTATION: `disable_self_fencing` turns off the §3.2
@@ -118,15 +123,16 @@ fn same_cell_is_byte_identical_across_thread_counts() {
 fn broken_fencing_is_caught_shrunk_and_replayable() {
     // Scan seeds until the mutation bites (not every seed's partition
     // windows overlap traffic on a fatal shard).
-    let failing = (0..10)
+    let (cell, failing) = (0..10)
         .map(|seed| {
-            run_dst(DstConfig {
+            let cell = DstConfig {
                 seed,
                 profile: FaultProfile::AsymPartition,
-                disable_self_fencing: true,
-            })
+                mutate: true,
+            };
+            (cell, ChaosWorld::run(ChaosWorld::config(cell)))
         })
-        .find(|r| r.failed())
+        .find(|(_, r)| r.failed())
         .expect("within 10 seeds the broken fencing must cause a violation");
 
     // Caught: the violations are the fencing kind(s) the mutation
@@ -144,8 +150,8 @@ fn broken_fencing_is_caught_shrunk_and_replayable() {
     );
 
     // Shrunk: at most 5 fault events (acceptance bound).
-    let minimal =
-        shrink(failing.cfg, &failing.chaos.plan).expect("a failing plan must be shrinkable");
+    let minimal = ChaosWorld::shrink(ChaosWorld::config(cell), &failing.plan)
+        .expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -155,11 +161,12 @@ fn broken_fencing_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = repro_to_json(failing.cfg, &minimal);
-    let (cfg2, plan2) = repro_from_json(&json).expect("emitted reproducer JSON parses");
-    assert_eq!(cfg2, failing.cfg);
+    let json = ChaosWorld::repro_to_json(cell, &minimal);
+    let (cell2, plan2) =
+        ChaosWorld::repro_from_json(&json).expect("emitted reproducer JSON parses");
+    assert_eq!(cell2, cell);
     assert_eq!(plan2, minimal);
-    let replay = run_dst_with_plan(cfg2, plan2);
+    let replay = ChaosWorld::run_with_plan(ChaosWorld::config(cell2), plan2);
     assert!(replay.failed(), "minimal reproducer must still fail");
     assert!(
         replay.violated_kinds().iter().all(|k| kinds.contains(k)),
@@ -169,16 +176,16 @@ fn broken_fencing_is_caught_shrunk_and_replayable() {
 
     // And the fix fixes it: the same seed and plan with fencing
     // enabled is clean.
-    let fixed = run_dst_with_plan(
-        DstConfig {
-            disable_self_fencing: false,
-            ..failing.cfg
-        },
+    let fixed = ChaosWorld::run_with_plan(
+        ChaosWorld::config(DstConfig {
+            mutate: false,
+            ..cell
+        }),
         minimal,
     );
     assert_eq!(
-        fixed.chaos.total_violations, 0,
+        fixed.total_violations, 0,
         "self-fencing must neutralize the reproducer: {:?}",
-        fixed.chaos.violations
+        fixed.violations
     );
 }

@@ -20,17 +20,15 @@
 //! - the fix fixes it: the shrunk plan is clean with joint consensus
 //!   back on.
 
-use shard_manager::apps::reconfig::{
-    reconfig_repro_from_json, reconfig_repro_to_json, run_reconfig, run_reconfig_with_plan,
-    shrink_reconfig, ReconfigConfig,
-};
+use shard_manager::apps::reconfig::{ReconfigConfig, ReconfigWorld};
+use shard_manager::apps::{DstConfig, FaultWorld};
 use shard_manager::sim::faults::FaultProfile;
 use shard_manager::sim::oracle::InvariantKind;
 
 /// The fixed smoke grid: 8 seeds of the reconfiguration-chaos profile.
-fn smoke_grid() -> Vec<ReconfigConfig> {
+fn smoke_grid() -> Vec<DstConfig> {
     (0..8)
-        .map(|seed| ReconfigConfig::dst(seed, FaultProfile::ReconfigChaos))
+        .map(|seed| DstConfig::new(seed, FaultProfile::ReconfigChaos))
         .collect()
 }
 
@@ -38,12 +36,12 @@ fn smoke_grid() -> Vec<ReconfigConfig> {
 fn reconfig_smoke_swarm_is_violation_free_and_not_vacuous() {
     let mut interrupted_total = 0;
     let mut joint_total = 0;
-    for cfg in smoke_grid() {
-        let r = run_reconfig(cfg);
+    for cfg in smoke_grid().into_iter().map(ReconfigWorld::config) {
+        let r = ReconfigWorld::run(cfg);
         let tag = format!("seed={}", cfg.seed);
         println!(
-            "{tag}: stats={:?} net_blocked={} unplaced={}",
-            r.stats, r.net.blocked, r.unplaced
+            "{tag}: stats={:?} rpc={:?} net_blocked={} unplaced={}",
+            r.stats, r.rpc, r.net.blocked, r.unplaced
         );
         assert_eq!(
             r.total_violations, 0,
@@ -80,15 +78,16 @@ fn reconfig_smoke_swarm_is_violation_free_and_not_vacuous() {
 #[test]
 fn same_cell_reproduces_exactly() {
     let cfg = ReconfigConfig::dst(3, FaultProfile::ReconfigChaos);
-    let a = run_reconfig(cfg);
-    let b = run_reconfig(cfg);
+    let a = ReconfigWorld::run(cfg);
+    let b = ReconfigWorld::run(cfg);
     assert_eq!(a.stats, b.stats);
+    assert_eq!(a.rpc, b.rpc);
     assert_eq!(a.verdict(), b.verdict());
     assert_eq!(a.plan, b.plan);
     // Different seeds still differ (the comparison above is not
     // trivially comparing empty runs).
-    let c = run_reconfig(ReconfigConfig::dst(4, FaultProfile::ReconfigChaos));
-    assert_ne!(a.stats, c.stats);
+    let c = ReconfigWorld::run(ReconfigConfig::dst(4, FaultProfile::ReconfigChaos));
+    assert_ne!((&a.stats, a.rpc), (&c.stats, c.rpc));
 }
 
 /// THE DOCUMENTED MUTATION: `single_step` makes every group commit
@@ -103,13 +102,18 @@ fn same_cell_reproduces_exactly() {
 fn single_step_membership_change_is_caught_shrunk_and_replayable() {
     let failing = smoke_grid()
         .into_iter()
-        .map(|mut cfg| {
-            cfg.single_step = true;
-            (cfg, run_reconfig(cfg))
+        .map(|cell| {
+            let cell = DstConfig {
+                mutate: true,
+                ..cell
+            };
+            (cell, ReconfigWorld::run(ReconfigWorld::config(cell)))
         })
         .find(|(_, r)| r.failed())
         .expect("within the smoke grid the single-step mutation must cause a violation");
-    let (cfg, report) = failing;
+    let (cell, report) = failing;
+    let cfg = ReconfigWorld::config(cell);
+    assert!(cfg.single_step);
 
     // Caught: by the replica-set-agreement audit or the acked-write
     // sweep, not collateral noise.
@@ -129,7 +133,8 @@ fn single_step_membership_change_is_caught_shrunk_and_replayable() {
 
     // Shrunk: the churn loop alone (plus at most a few fault events)
     // reproduces the corruption.
-    let minimal = shrink_reconfig(cfg, &report.plan).expect("a failing plan must be shrinkable");
+    let minimal =
+        ReconfigWorld::shrink(cfg, &report.plan).expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -138,11 +143,12 @@ fn single_step_membership_change_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = reconfig_repro_to_json(&cfg, &minimal);
-    let (cfg2, plan2) = reconfig_repro_from_json(&json).expect("emitted reproducer JSON parses");
-    assert_eq!(cfg2, cfg);
+    let json = ReconfigWorld::repro_to_json(cell, &minimal);
+    let (cell2, plan2) =
+        ReconfigWorld::repro_from_json(&json).expect("emitted reproducer JSON parses");
+    assert_eq!(cell2, cell);
     assert_eq!(plan2, minimal);
-    let replay = run_reconfig_with_plan(cfg2, plan2.clone());
+    let replay = ReconfigWorld::run_with_plan(ReconfigWorld::config(cell2), plan2.clone());
     assert!(replay.failed(), "minimal reproducer must still fail");
     assert!(
         replay.violated_kinds().iter().all(|k| kinds.contains(k)),
@@ -152,7 +158,7 @@ fn single_step_membership_change_is_caught_shrunk_and_replayable() {
 
     // And the fix fixes it: the same seed and plan with joint
     // consensus restored is clean.
-    let fixed = run_reconfig_with_plan(
+    let fixed = ReconfigWorld::run_with_plan(
         ReconfigConfig {
             single_step: false,
             ..cfg

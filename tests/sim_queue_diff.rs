@@ -8,14 +8,16 @@
 //! up here as a trace or report mismatch long before it could corrupt a
 //! figure or a swarm verdict.
 //!
-//! Coverage: 17 seeded cells across the three DES worlds (chaos, DST
-//! fault profiles, reconfiguration chaos), each run twice — once per
-//! queue kind — and compared on the full trace CSV plus the entire
-//! `Debug`-rendered report (stats, violations, counters).
+//! Coverage: 21 seeded cells across the three fault worlds (chaos, DST
+//! fault profiles, reconfiguration chaos, skew-storm splits), each run
+//! twice — once per queue kind, through the generic
+//! [`FaultWorld::run_queued`] — and compared on the full trace CSV plus
+//! the entire `Debug`-rendered report (stats, violations, counters).
 
-use shard_manager::apps::chaos::{run_chaos_queued, ChaosConfig};
-use shard_manager::apps::dst::{run_dst_queued, DstConfig};
-use shard_manager::apps::reconfig::{run_reconfig_queued, ReconfigConfig};
+use shard_manager::apps::{
+    ChaosConfig, ChaosWorld, DstConfig, FaultWorld, ReconfigConfig, ReconfigWorld, SplitConfig,
+    SplitWorld,
+};
 use shard_manager::sim::faults::FaultProfile;
 use shard_manager::sim::QueueKind;
 
@@ -35,8 +37,8 @@ fn assert_same(cell: &str, trace_a: &str, trace_b: &str, dbg_a: String, dbg_b: S
 #[test]
 fn chaos_runs_are_identical_across_queue_kinds() {
     for seed in [0, 7, 42, 1337] {
-        let a = run_chaos_queued(ChaosConfig::covering(seed), QueueKind::Calendar);
-        let b = run_chaos_queued(ChaosConfig::covering(seed), QueueKind::BinaryHeap);
+        let a = ChaosWorld::run_queued(ChaosConfig::covering(seed), QueueKind::Calendar);
+        let b = ChaosWorld::run_queued(ChaosConfig::covering(seed), QueueKind::BinaryHeap);
         assert_same(
             &format!("chaos seed={seed}"),
             &a.trace_csv,
@@ -56,17 +58,17 @@ fn dst_cells_are_identical_across_queue_kinds() {
     ];
     for profile in profiles {
         for seed in 0..3 {
-            let a = run_dst_queued(DstConfig::new(seed, profile), QueueKind::Calendar);
-            let b = run_dst_queued(DstConfig::new(seed, profile), QueueKind::BinaryHeap);
-            // The verdict folds the oracle outcome into one string; the
-            // chaos report underneath carries the trace.
+            let cfg = ChaosWorld::config(DstConfig::new(seed, profile));
+            let a = ChaosWorld::run_queued(cfg, QueueKind::Calendar);
+            let b = ChaosWorld::run_queued(cfg, QueueKind::BinaryHeap);
+            // The verdict folds the oracle outcome into one string.
             assert_eq!(a.verdict(), b.verdict());
             assert_same(
                 &format!("dst profile={} seed={seed}", profile.name()),
-                &a.chaos.trace_csv,
-                &b.chaos.trace_csv,
-                format!("{:?}", a.chaos),
-                format!("{:?}", b.chaos),
+                &a.trace_csv,
+                &b.trace_csv,
+                format!("{a:?}"),
+                format!("{b:?}"),
             );
         }
     }
@@ -76,10 +78,26 @@ fn dst_cells_are_identical_across_queue_kinds() {
 fn reconfig_runs_are_identical_across_queue_kinds() {
     for seed in [0, 3, 11, 29] {
         let cfg = ReconfigConfig::dst(seed, FaultProfile::ReconfigChaos);
-        let a = run_reconfig_queued(cfg, QueueKind::Calendar);
-        let b = run_reconfig_queued(cfg, QueueKind::BinaryHeap);
+        let a = ReconfigWorld::run_queued(cfg, QueueKind::Calendar);
+        let b = ReconfigWorld::run_queued(cfg, QueueKind::BinaryHeap);
         assert_same(
             &format!("reconfig seed={seed}"),
+            &a.trace_csv,
+            &b.trace_csv,
+            format!("{a:?}"),
+            format!("{b:?}"),
+        );
+    }
+}
+
+#[test]
+fn split_runs_are_identical_across_queue_kinds() {
+    for seed in [0, 3, 11, 29] {
+        let cfg = SplitConfig::dst(seed, FaultProfile::SplitChaos);
+        let a = SplitWorld::run_queued(cfg, QueueKind::Calendar);
+        let b = SplitWorld::run_queued(cfg, QueueKind::BinaryHeap);
+        assert_same(
+            &format!("split seed={seed}"),
             &a.trace_csv,
             &b.trace_csv,
             format!("{a:?}"),

@@ -21,18 +21,16 @@
 //! - the fix fixes it: the shrunk plan is clean with the all-or-nothing
 //!   cutover back on.
 
-use shard_manager::apps::split::{
-    run_split, run_split_with_plan, shrink_split, split_repro_from_json, split_repro_to_json,
-    SplitConfig,
-};
+use shard_manager::apps::split::{SplitConfig, SplitWorld};
+use shard_manager::apps::{DstConfig, FaultWorld};
 use shard_manager::sim::faults::{Fault, FaultProfile};
 use shard_manager::sim::oracle::InvariantKind;
 use shard_manager::sim::SimTime;
 
 /// The fixed smoke grid: 8 seeds of the split-chaos profile.
-fn smoke_grid() -> Vec<SplitConfig> {
+fn smoke_grid() -> Vec<DstConfig> {
     (0..8)
-        .map(|seed| SplitConfig::dst(seed, FaultProfile::SplitChaos))
+        .map(|seed| DstConfig::new(seed, FaultProfile::SplitChaos))
         .collect()
 }
 
@@ -57,12 +55,12 @@ fn lossy_storm_plan() -> Vec<(SimTime, Fault)> {
 fn split_smoke_swarm_is_violation_free_and_not_vacuous() {
     let mut aborted_total = 0;
     let mut interrupted_total = 0;
-    for cfg in smoke_grid() {
-        let r = run_split(cfg);
+    for cfg in smoke_grid().into_iter().map(SplitWorld::config) {
+        let r = SplitWorld::run(cfg);
         let tag = format!("seed={}", cfg.seed);
         println!(
-            "{tag}: stats={:?} net_blocked={} unplaced={}",
-            r.stats, r.net.blocked, r.unplaced
+            "{tag}: stats={:?} rpc={:?} net_blocked={} unplaced={}",
+            r.stats, r.rpc, r.net.blocked, r.unplaced
         );
         assert_eq!(
             r.total_violations, 0,
@@ -107,16 +105,17 @@ fn split_smoke_swarm_is_violation_free_and_not_vacuous() {
 #[test]
 fn same_cell_reproduces_exactly() {
     let cfg = SplitConfig::dst(3, FaultProfile::SplitChaos);
-    let a = run_split(cfg);
-    let b = run_split(cfg);
+    let a = SplitWorld::run(cfg);
+    let b = SplitWorld::run(cfg);
     assert_eq!(a.stats, b.stats);
+    assert_eq!(a.rpc, b.rpc);
     assert_eq!(a.verdict(), b.verdict());
     assert_eq!(a.plan, b.plan);
     assert_eq!(a.trace_csv, b.trace_csv);
     // Different seeds still differ (the comparison above is not
     // trivially comparing empty runs).
-    let c = run_split(SplitConfig::dst(4, FaultProfile::SplitChaos));
-    assert_ne!(a.stats, c.stats);
+    let c = SplitWorld::run(SplitConfig::dst(4, FaultProfile::SplitChaos));
+    assert_ne!((&a.stats, a.rpc), (&c.stats, c.rpc));
 }
 
 /// THE DOCUMENTED MUTATION: `skip_cutover_ack` commits a split or merge
@@ -132,14 +131,19 @@ fn same_cell_reproduces_exactly() {
 fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
     let failing = smoke_grid()
         .into_iter()
-        .map(|mut cfg| {
-            cfg.skip_cutover_ack = true;
-            let r = run_split_with_plan(cfg, lossy_storm_plan());
-            (cfg, r)
+        .map(|cell| {
+            let cell = DstConfig {
+                mutate: true,
+                ..cell
+            };
+            let r = SplitWorld::run_with_plan(SplitWorld::config(cell), lossy_storm_plan());
+            (cell, r)
         })
         .find(|(_, r)| r.failed())
         .expect("within the lossy grid the skipped cutover ack must cause a violation");
-    let (cfg, report) = failing;
+    let (cell, report) = failing;
+    let cfg = SplitWorld::config(cell);
+    assert!(cfg.skip_cutover_ack);
 
     // Caught: as lost requests (a permanently unserved range) or a
     // coverage/convergence audit failure, not collateral noise.
@@ -159,7 +163,7 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
     );
 
     // Shrunk: a handful of fault events reproduce the hole.
-    let minimal = shrink_split(cfg, &report.plan).expect("a failing plan must be shrinkable");
+    let minimal = SplitWorld::shrink(cfg, &report.plan).expect("a failing plan must be shrinkable");
     assert!(
         minimal.len() <= 5,
         "reproducer has {} events: {minimal:?}",
@@ -168,11 +172,12 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
 
     // Replayable: through the JSON form and back, the minimal plan
     // still fails with the same invariant kind(s).
-    let json = split_repro_to_json(&cfg, &minimal);
-    let (cfg2, plan2) = split_repro_from_json(&json).expect("emitted reproducer JSON parses");
-    assert_eq!(cfg2, cfg);
+    let json = SplitWorld::repro_to_json(cell, &minimal);
+    let (cell2, plan2) =
+        SplitWorld::repro_from_json(&json).expect("emitted reproducer JSON parses");
+    assert_eq!(cell2, cell);
     assert_eq!(plan2, minimal);
-    let replay = run_split_with_plan(cfg2, plan2.clone());
+    let replay = SplitWorld::run_with_plan(SplitWorld::config(cell2), plan2.clone());
     assert!(replay.failed(), "minimal reproducer must still fail");
     assert!(
         replay.violated_kinds().iter().all(|k| kinds.contains(k)),
@@ -182,7 +187,7 @@ fn skipped_cutover_ack_is_caught_shrunk_and_replayable() {
 
     // And the fix fixes it: the same seed and plan with the
     // all-or-nothing cutover restored is clean.
-    let fixed = run_split_with_plan(
+    let fixed = SplitWorld::run_with_plan(
         SplitConfig {
             skip_cutover_ack: false,
             ..cfg
