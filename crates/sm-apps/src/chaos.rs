@@ -292,7 +292,6 @@ pub struct ChaosWorld {
     router: BTreeMap<ShardId, ServerId>,
     /// ZooKeeper's view of each server's last heartbeat.
     last_beat: BTreeMap<ServerId, SimTime>,
-    next_req: u64,
     /// Monotone write counter: the value stored for every put and the
     /// tag the oracle checks reads against.
     write_tag: u64,
@@ -405,7 +404,6 @@ impl ChaosWorld {
             partitions,
             router: BTreeMap::new(),
             last_beat,
-            next_req: 0,
             write_tag: 0,
             stats: ChaosStats::default(),
             kernel: Kernel::new(cfg.seed, cfg.rpc_latency, Vec::new()),
@@ -416,8 +414,7 @@ impl ChaosWorld {
     }
 
     fn refresh_router(&mut self) {
-        let partitions = self.partitions.clone();
-        for p in &partitions {
+        for p in &self.partitions {
             if let Some(orch) = self.cp.orchestrator(p.id) {
                 for &shard in &p.shards {
                     match orch.assignment().primary_of(shard) {
@@ -468,9 +465,8 @@ impl ChaosWorld {
         let Some(shard) = self.spec.shard_for(&AppKey::from_u64(key)) else {
             return;
         };
-        self.next_req += 1;
         let req = Req {
-            id: self.next_req,
+            id: self.kernel.oracle.request_issued(),
             client,
             key,
             write,
@@ -478,7 +474,6 @@ impl ChaosWorld {
             attempts: 1,
             sent_at: ctx.now(),
         };
-        self.kernel.oracle.request_issued(req.id);
         self.route(req, ctx);
     }
 

@@ -567,7 +567,6 @@ pub struct SplitWorld {
     scaler: SplitScaler,
     hosts: BTreeMap<ServerId, SplitHost>,
     router: ServiceRouter,
-    next_req: u64,
     /// Every shard id ever published with its immutable key range (a
     /// shard's range never changes between mint and removal), for the
     /// per-key willing-primary audit.
@@ -609,7 +608,6 @@ impl SplitWorld {
             scaler: scaler_for(&cfg),
             hosts,
             router: ServiceRouter::new(),
-            next_req: 0,
             ranges: BTreeMap::new(),
             partitioned: BTreeSet::new(),
             degraded: false,
@@ -784,14 +782,12 @@ impl SplitWorld {
         } else {
             ctx.rng().next_u64()
         };
-        self.next_req += 1;
         let req = Req {
-            id: self.next_req,
+            id: self.kernel.oracle.request_issued(),
             client,
             key,
             attempts: 1,
         };
-        self.kernel.oracle.request_issued(req.id);
         self.route(req, ctx);
     }
 

@@ -446,7 +446,9 @@ impl Orchestrator {
         });
     }
 
-    /// The current shard map at the latest published version.
+    /// The current shard map at the latest published version: an
+    /// O(chunks) snapshot sharing every chunk of the assignment, which
+    /// copies a chunk only when it next changes a shard in it.
     pub fn current_map(&self) -> ShardMap {
         ShardMap::from_assignment(self.map_version, &self.assignment)
     }

@@ -198,9 +198,11 @@ impl ConcurrentRouter {
         self.publish_locked(&mut w, RouterCore { apps });
     }
 
-    /// Installs a shard map for `app`, rebuilding its resolution kernel
-    /// over the registered spec's shared columns: a constant number of
-    /// allocations, whatever the shard count.
+    /// Installs a shard map for `app` through [`ResolvedMap::install`]:
+    /// the kernel is patched from the installed one where only replica
+    /// sets changed, over the registered spec's shared columns. Either
+    /// way it takes a constant number of allocations, whatever the
+    /// shard count.
     ///
     /// Returns `false` (and publishes nothing) when `app` already has a
     /// map at the same or a newer version — stale disseminations are
@@ -218,14 +220,13 @@ impl ConcurrentRouter {
                 {
                     return false;
                 }
-                entry.resolved = Some(Arc::new(ResolvedMap::with_columns(
-                    entry.columns.clone(),
-                    &map,
-                )));
+                let prev = entry.resolved.as_deref().zip(entry.raw.as_deref());
+                let resolved = ResolvedMap::install(prev, entry.columns.clone(), &map);
+                entry.resolved = Some(Arc::new(resolved));
                 entry.raw = Some(Arc::new(map));
             }
             _ => {
-                let resolved = Some(Arc::new(ResolvedMap::with_columns(None, &map)));
+                let resolved = Some(Arc::new(ResolvedMap::install(None, None, &map)));
                 apps.insert(
                     idx,
                     AppEntry {

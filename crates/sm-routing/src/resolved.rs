@@ -12,7 +12,10 @@
 //! The range columns depend on the spec alone, so they live apart in
 //! [`SpecColumns`], built once per spec and shared by `Arc` across the
 //! kernels of every map installed under it: an install builds only the
-//! slot column and the replica table, and clones no key.
+//! slot column and the replica table, and clones no key. Most installs
+//! build even less: [`ResolvedMap::install`] copies the previous
+//! kernel and rewrites only the shards whose chunks of the shared
+//! shard table changed.
 //!
 //! Both [`crate::ServiceRouter`] (single-threaded, DES worlds) and
 //! [`crate::ConcurrentRouter`] (epoch-swapped, shared by N threads)
@@ -20,24 +23,12 @@
 //! exact code the throughput bench measures.
 
 use crate::router::RouteDecision;
+use sm_types::keys::{prefix64, starts_at_or_below};
 use sm_types::{AppKey, DenseShardTable, ServerId, ShardId, ShardMap, ShardingSpec, SmError};
 use std::sync::Arc;
 
 /// Sentinel slot for "this range's shard is absent from the map".
 const NO_SLOT: u32 = u32::MAX;
-
-/// The first eight bytes of a key, big-endian, zero-padded — an order-
-/// preserving prefix: `prefix64(a) < prefix64(b)` implies `a < b`, and
-/// `a <= b` implies `prefix64(a) <= prefix64(b)`. Ties fall back to a
-/// full lexicographic compare.
-// sm-lint: hot-path
-fn prefix64(bytes: &[u8]) -> u64 {
-    let mut out = [0u8; 8];
-    for (dst, src) in out.iter_mut().zip(bytes.iter()) {
-        *dst = *src;
-    }
-    u64::from_be_bytes(out)
-}
 
 /// A sharding spec resolved into flat sorted columns: the key → range
 /// half of a [`ResolvedMap`].
@@ -56,6 +47,9 @@ pub struct SpecColumns {
     ends: Vec<Option<AppKey>>,
     /// Owning shard of each range.
     range_shards: Vec<ShardId>,
+    /// `(shard, range index)` sorted by shard id: the order a full
+    /// kernel build merges against the dense table's id column.
+    by_shard: Vec<(ShardId, u32)>,
 }
 
 impl SpecColumns {
@@ -64,15 +58,15 @@ impl SpecColumns {
     pub fn build(spec: &ShardingSpec) -> Self {
         let ranges = spec.shard_count();
         let mut out = Self {
-            starts_p64: Vec::with_capacity(ranges),
+            starts_p64: spec.start_prefixes().to_vec(),
             starts: Vec::with_capacity(ranges),
             ends: Vec::with_capacity(ranges),
             range_shards: Vec::with_capacity(ranges),
+            by_shard: spec.ranges_by_shard().to_vec(),
         };
         // `ShardingSpec::iter` yields ranges sorted by start, so the
         // columns come out sorted without another sort pass.
         for (range, shard) in spec.iter() {
-            out.starts_p64.push(prefix64(&range.start.0));
             out.starts.push(range.start.clone());
             out.ends.push(range.end.clone());
             out.range_shards.push(*shard);
@@ -83,32 +77,15 @@ impl SpecColumns {
     /// Index and owning shard of the range containing `key`, or `None`
     /// when the key falls in a gap.
     ///
-    /// `partition_point`-style binary search over the start column:
-    /// the prefix column decides all but prefix-tied comparisons with
-    /// one branchless `u64` compare each.
+    /// `partition_point`-style binary search over the start column
+    /// ([`starts_at_or_below`]): the prefix column decides all but
+    /// prefix-tied comparisons with one `u64` compare each.
     // sm-lint: hot-path
     fn covering_range(&self, key: &AppKey) -> Option<(usize, ShardId)> {
-        let kp = prefix64(&key.0);
-        let mut lo = 0usize;
-        let mut hi = self.starts.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let sp = self.starts_p64.get(mid).copied()?;
-            // Is starts[mid] <= key?  Decided by the prefix unless tied.
-            let le = if sp < kp {
-                true
-            } else if sp > kp {
-                false
-            } else {
-                self.starts.get(mid).is_some_and(|s| s <= key)
-            };
-            if le {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let idx = lo.checked_sub(1)?;
+        let idx = starts_at_or_below(&self.starts_p64, prefix64(&key.0), |i| {
+            self.starts.get(i).is_some_and(|s| s <= key)
+        })
+        .checked_sub(1)?;
         match self.ends.get(idx)? {
             Some(end) if key >= end => None,
             _ => Some((idx, *self.range_shards.get(idx)?)),
@@ -136,27 +113,36 @@ impl ResolvedMap {
     /// Resolves `spec` (if known) against `map` into the dense form.
     ///
     /// Cost is O(ranges + shards) and clones every range key; routers
-    /// that install many maps under one spec use
-    /// [`Self::with_columns`] instead.
+    /// that install many maps under one spec use [`Self::install`]
+    /// instead.
     pub fn build(spec: Option<&ShardingSpec>, map: &ShardMap) -> Self {
         Self::with_columns(spec.map(|s| Arc::new(SpecColumns::build(s))), map)
     }
 
-    /// Resolves `map` against already-built spec columns. Cost is
-    /// O(ranges + shards) with a constant number of allocations: the
-    /// slot column and the dense table. Paid once per installed map
-    /// version, off the read path.
+    /// Resolves `map` against already-built spec columns: the full
+    /// build. Cost is O(ranges + shards) with a constant number of
+    /// allocations, the slot column and the dense table; the slot
+    /// column is filled by one merge of the spec's shard-sorted ranges
+    /// with the table's id column.
     pub fn with_columns(columns: Option<Arc<SpecColumns>>, map: &ShardMap) -> Self {
         let table = DenseShardTable::from_map(map);
         let range_slots = match &columns {
-            Some(cols) => cols
-                .range_shards
-                .iter()
-                .map(|shard| match table.slot_of(*shard) {
-                    Some(s) => s as u32,
-                    None => NO_SLOT,
-                })
-                .collect(),
+            Some(cols) => {
+                let mut slots = vec![NO_SLOT; cols.range_shards.len()];
+                let ids = table.shard_ids();
+                let mut slot = 0usize;
+                for &(shard, range) in &cols.by_shard {
+                    while ids.get(slot).is_some_and(|s| *s < shard) {
+                        slot += 1;
+                    }
+                    if ids.get(slot) == Some(&shard) {
+                        if let Some(out) = slots.get_mut(range as usize) {
+                            *out = slot as u32;
+                        }
+                    }
+                }
+                slots
+            }
             None => Vec::new(),
         };
         Self {
@@ -164,6 +150,38 @@ impl ResolvedMap {
             columns,
             range_slots,
             table,
+        }
+    }
+
+    /// The kernel a router installs for `map`, given the kernel it
+    /// holds now and the map that kernel was built from (`None` on a
+    /// first install). The one install path of both routers.
+    ///
+    /// When `prev` was built over the same `columns` and its map holds
+    /// the same shard ids, the kernel is patched: the slot column is
+    /// copied as is and the dense table rewrites only the shards whose
+    /// chunks changed ([`DenseShardTable::patched`]). Otherwise (first
+    /// install, new spec, split or merge) it is a full
+    /// [`Self::with_columns`] build. Both allocate the same columns.
+    pub fn install(
+        prev: Option<(&ResolvedMap, &ShardMap)>,
+        columns: Option<Arc<SpecColumns>>,
+        map: &ShardMap,
+    ) -> Self {
+        let same_columns = |kernel: &ResolvedMap| {
+            kernel.columns.as_ref().map(Arc::as_ptr) == columns.as_ref().map(Arc::as_ptr)
+        };
+        let patched = prev
+            .filter(|(kernel, _)| same_columns(kernel))
+            .and_then(|(kernel, old)| Some((kernel, kernel.table.patched(old, map)?)));
+        match patched {
+            Some((kernel, table)) => Self {
+                version: map.version,
+                columns,
+                range_slots: kernel.range_slots.clone(),
+                table,
+            },
+            None => Self::with_columns(columns, map),
         }
     }
 
@@ -282,29 +300,6 @@ mod tests {
                 .unwrap();
         }
         a
-    }
-
-    #[test]
-    fn prefix64_preserves_order() {
-        let keys: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0],
-            vec![0, 0, 1],
-            b"abc".to_vec(),
-            b"abcdefgh".to_vec(),
-            b"abcdefghi".to_vec(),
-            vec![0xff; 12],
-        ];
-        for a in &keys {
-            for b in &keys {
-                if prefix64(a) < prefix64(b) {
-                    assert!(a < b, "{a:?} {b:?}");
-                }
-                if a <= b {
-                    assert!(prefix64(a) <= prefix64(b), "{a:?} {b:?}");
-                }
-            }
-        }
     }
 
     #[test]

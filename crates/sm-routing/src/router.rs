@@ -83,8 +83,13 @@ impl ServiceRouter {
             Some(existing) if map.version <= existing.version => false,
             _ => {
                 let columns = self.columns.get(&app).cloned();
-                self.resolved
-                    .insert(app, Rc::new(ResolvedMap::with_columns(columns, &map)));
+                let prev = self.resolved.get(&app).zip(self.maps.get(&app));
+                let resolved = ResolvedMap::install(
+                    prev.map(|(k, m)| (k.as_ref(), m.as_ref())),
+                    columns,
+                    &map,
+                );
+                self.resolved.insert(app, Rc::new(resolved));
                 self.maps.insert(app, map);
                 true
             }

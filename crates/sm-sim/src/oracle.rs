@@ -124,6 +124,58 @@ const MAX_RECORDED: usize = 64;
 /// strings in lexicographic order, `end == None` meaning unbounded.
 pub type ShardRange = (u64, Vec<u8>, Option<Vec<u8>>);
 
+/// A set of request ids, one bit per id. The oracle mints ids densely
+/// from 1, so the bits stay packed.
+#[derive(Clone, Debug, Default)]
+struct IdSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl IdSet {
+    fn contains(&self, id: u64) -> bool {
+        let (word, bit) = ((id / 64) as usize, id % 64);
+        self.words.get(word).is_some_and(|w| w & (1 << bit) != 0)
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    fn insert(&mut self, id: u64) -> bool {
+        let (word, bit) = ((id / 64) as usize, id % 64);
+        if self.words.len() <= word {
+            self.words.resize(word + 1, 0);
+        }
+        let Some(w) = self.words.get_mut(word) else {
+            return false;
+        };
+        let absent = *w & (1 << bit) == 0;
+        *w |= 1 << bit;
+        self.len += usize::from(absent);
+        absent
+    }
+
+    fn remove(&mut self, id: u64) {
+        let (word, bit) = ((id / 64) as usize, id % 64);
+        if let Some(w) = self.words.get_mut(word) {
+            self.len -= usize::from(*w & (1 << bit) != 0);
+            *w &= !(1 << bit);
+        }
+    }
+
+    /// Removes every id, returning them in ascending order.
+    fn drain(&mut self) -> Vec<u64> {
+        let mut ids = Vec::with_capacity(self.len);
+        for (word, w) in (0u64..).zip(&self.words) {
+            let mut rest = *w;
+            while rest != 0 {
+                ids.push(word * 64 + u64::from(rest.trailing_zeros()));
+                rest &= rest - 1;
+            }
+        }
+        *self = Self::default();
+        ids
+    }
+}
+
 /// Accumulates invariant observations over one simulated run.
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
@@ -132,10 +184,12 @@ pub struct Oracle {
     total: u64,
     /// Latest acknowledged write tag per key.
     acked: std::collections::BTreeMap<u64, u64>,
+    /// The last request id minted ([`Oracle::request_issued`]).
+    last_request: u64,
     /// Requests issued but not yet served, by id.
-    outstanding: std::collections::BTreeSet<u64>,
+    outstanding: IdSet,
     /// Requests served at least once, by id.
-    served: std::collections::BTreeSet<u64>,
+    served: IdSet,
     /// Observations processed (cheap liveness counter for reports).
     observations: u64,
 }
@@ -187,10 +241,13 @@ impl Oracle {
         }
     }
 
-    /// Records a client request entering the system.
-    pub fn request_issued(&mut self, id: u64) {
+    /// Records a client request entering the system and returns its
+    /// id: 1 for the first request of a run, then counting up.
+    pub fn request_issued(&mut self) -> u64 {
         self.observations += 1;
-        self.outstanding.insert(id);
+        self.last_request += 1;
+        self.outstanding.insert(self.last_request);
+        self.last_request
     }
 
     /// Records a request served; returns true the first time (the
@@ -198,21 +255,21 @@ impl Oracle {
     /// its delivery).
     pub fn request_served(&mut self, id: u64) -> bool {
         self.observations += 1;
-        self.outstanding.remove(&id);
+        self.outstanding.remove(id);
         self.served.insert(id)
     }
 
     /// True when `id` has already been served (a duplicate delivery's
     /// retry chain can be abandoned without counting a drop).
     pub fn already_served(&self, id: u64) -> bool {
-        self.served.contains(&id)
+        self.served.contains(id)
     }
 
     /// Records a request dropped after exhausting its retries — always
     /// a violation.
     pub fn request_dropped(&mut self, at: SimTime, id: u64) {
         self.observations += 1;
-        self.outstanding.remove(&id);
+        self.outstanding.remove(id);
         self.violate(
             at,
             InvariantKind::LostRequest,
@@ -439,7 +496,7 @@ impl Oracle {
     /// dropped); nonzero at the end of a drained run means the world
     /// lost track of traffic.
     pub fn outstanding_requests(&self) -> usize {
-        self.outstanding.len()
+        self.outstanding.len
     }
 
     /// At the end of a fully-drained run, any request still
@@ -447,9 +504,7 @@ impl Oracle {
     /// dropped — which is its own `lost_request` violation.
     pub fn quiescent_drain_check(&mut self, at: SimTime) {
         self.observations += 1;
-        let lost: Vec<u64> = self.outstanding.iter().copied().collect();
-        for id in lost {
-            self.outstanding.remove(&id);
+        for id in self.outstanding.drain() {
             self.violate(
                 at,
                 InvariantKind::LostRequest,
@@ -488,8 +543,8 @@ mod tests {
         let mut o = Oracle::new();
         o.primaries_observed(t(1), 3, 1);
         o.primaries_observed(t(2), 3, 0);
-        o.request_issued(1);
-        assert!(o.request_served(1));
+        let id = o.request_issued();
+        assert!(o.request_served(id));
         o.write_acked(9, 1);
         o.read_served(t(3), 9, Some(1));
         o.read_served(t(3), 100, None); // never written: fine
@@ -528,11 +583,11 @@ mod tests {
     #[test]
     fn dropped_and_duplicate_served_requests() {
         let mut o = Oracle::new();
-        o.request_issued(1);
-        o.request_issued(2);
+        assert_eq!((o.request_issued(), o.request_issued()), (1, 2));
         assert!(o.request_served(1));
         assert!(!o.request_served(1), "second serve of the same id");
         assert!(o.already_served(1));
+        assert!(!o.already_served(2));
         o.request_dropped(t(9), 2);
         assert_eq!(o.violations()[0].kind, InvariantKind::LostRequest);
         assert_eq!(o.outstanding_requests(), 0);
@@ -560,11 +615,15 @@ mod tests {
     #[test]
     fn drain_check_flags_vanished_requests() {
         let mut o = Oracle::new();
-        o.request_issued(1);
-        o.request_issued(2);
-        o.request_served(1);
+        let ids: Vec<u64> = (0..130).map(|_| o.request_issued()).collect();
+        for id in ids.into_iter().filter(|id| ![2, 129].contains(id)) {
+            o.request_served(id);
+        }
+        assert_eq!(o.outstanding_requests(), 2);
         o.quiescent_drain_check(t(99));
-        assert_eq!(o.violations().len(), 1);
+        assert_eq!(o.violations().len(), 2);
+        assert!(o.violations()[0].detail.contains("request 2 "));
+        assert!(o.violations()[1].detail.contains("request 129 "));
         assert_eq!(o.violations()[0].kind, InvariantKind::LostRequest);
         assert_eq!(o.outstanding_requests(), 0);
     }

@@ -104,12 +104,17 @@ impl TraceLog {
         Self::default()
     }
 
-    /// Records a point on the named series, creating it on first use.
+    /// Records a point on the named series, creating it on first use
+    /// (the only call that allocates the name).
     pub fn record(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push(at, value);
+        match self.series.get_mut(name) {
+            Some(series) => series.push(at, value),
+            None => self
+                .series
+                .entry(name.to_string())
+                .or_default()
+                .push(at, value),
+        }
     }
 
     /// Looks up a series by name.

@@ -259,6 +259,47 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     None
 }
 
+/// The first eight bytes of a key, big-endian, zero-padded: an order-
+/// preserving prefix. `prefix64(a) < prefix64(b)` implies `a < b`, and
+/// `a <= b` implies `prefix64(a) <= prefix64(b)`; ties fall back to a
+/// full lexicographic compare.
+// sm-lint: hot-path
+pub fn prefix64(bytes: &[u8]) -> u64 {
+    let mut out = [0u8; 8];
+    for (dst, src) in out.iter_mut().zip(bytes.iter()) {
+        *dst = *src;
+    }
+    u64::from_be_bytes(out)
+}
+
+/// How many of the ascending range starts whose [`prefix64`]s are
+/// `starts_p64` are `<=` a key whose prefix is `key_p64` — the
+/// `partition_point` of a range-start search. The prefix column
+/// decides every comparison but prefix ties, which
+/// `start_le(i)` (is start `i` `<=` the key?) decides in full.
+// sm-lint: hot-path
+pub fn starts_at_or_below(
+    starts_p64: &[u64],
+    key_p64: u64,
+    start_le: impl Fn(usize) -> bool,
+) -> usize {
+    let mut lo = 0usize;
+    let mut hi = starts_p64.len();
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let le = match starts_p64.get(mid) {
+            Some(&sp) if sp != key_p64 => sp < key_p64,
+            _ => start_le(mid),
+        };
+        if le {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// An application's key-to-shard mapping: an ordered set of disjoint
 /// ranges, each owned by a shard (§3.1).
 ///
@@ -283,6 +324,12 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 pub struct ShardingSpec {
     /// `(range, shard)` pairs sorted by `range.start`.
     entries: Vec<(KeyRange, ShardId)>,
+    /// [`prefix64`] of each range start, parallel to `entries`: the
+    /// fast column of the [`Self::shard_for`] search.
+    starts_p64: Vec<u64>,
+    /// `(shard, index into entries)` sorted by shard: the
+    /// [`Self::range_of`] index.
+    by_shard: Vec<(ShardId, u32)>,
 }
 
 impl ShardingSpec {
@@ -306,7 +353,23 @@ impl ShardingSpec {
                 return Err(format!("ranges {} and {} overlap", pair[0].0, pair[1].0));
             }
         }
-        Ok(Self { entries })
+        Ok(Self::indexed(entries))
+    }
+
+    /// Wraps valid `entries` (sorted by start) with their search
+    /// columns.
+    fn indexed(entries: Vec<(KeyRange, ShardId)>) -> Self {
+        let starts_p64 = entries.iter().map(|(r, _)| prefix64(&r.start.0)).collect();
+        let mut by_shard: Vec<(ShardId, u32)> = (0u32..)
+            .zip(&entries)
+            .map(|(i, (_, shard))| (*shard, i))
+            .collect();
+        by_shard.sort_unstable();
+        Self {
+            entries,
+            starts_p64,
+            by_shard,
+        }
     }
 
     /// Splits the `u64` key space into `n` equal ranges, one per shard,
@@ -334,7 +397,7 @@ impl ShardingSpec {
             };
             entries.push((range, ShardId(i)));
         }
-        Self { entries }
+        Self::indexed(entries)
     }
 
     /// Number of shards in the spec.
@@ -347,21 +410,30 @@ impl ShardingSpec {
         self.entries.iter()
     }
 
+    /// [`prefix64`] of each range start, in key order.
+    pub fn start_prefixes(&self) -> &[u64] {
+        &self.starts_p64
+    }
+
+    /// `(shard, range index in key order)` pairs, sorted by shard.
+    pub fn ranges_by_shard(&self) -> &[(ShardId, u32)] {
+        &self.by_shard
+    }
+
     /// All shard ids in key order.
     pub fn shard_ids(&self) -> impl Iterator<Item = ShardId> + '_ {
         self.entries.iter().map(|(_, s)| *s)
     }
 
     /// Resolves a key to its owning shard via binary search, or `None`
-    /// if the key falls in a gap not covered by any range.
+    /// if the key falls in a gap not covered by any range. Most probes
+    /// are one `u64` compare of [`prefix64`]s; only prefix ties compare
+    /// whole keys.
     pub fn shard_for(&self, key: &AppKey) -> Option<ShardId> {
-        let idx = self
-            .entries
-            .partition_point(|(range, _)| range.start <= *key);
-        if idx == 0 {
-            return None;
-        }
-        let (range, shard) = &self.entries[idx - 1];
+        let idx = starts_at_or_below(&self.starts_p64, prefix64(&key.0), |i| {
+            self.entries.get(i).is_some_and(|(r, _)| r.start <= *key)
+        });
+        let (range, shard) = self.entries.get(idx.checked_sub(1)?)?;
         range.contains(key).then_some(*shard)
     }
 
@@ -375,12 +447,15 @@ impl ShardingSpec {
             .collect()
     }
 
-    /// Returns the range owned by `shard`, if any.
+    /// Returns the range owned by `shard`, if any (binary search of
+    /// the shard-sorted index).
     pub fn range_of(&self, shard: ShardId) -> Option<&KeyRange> {
-        self.entries
-            .iter()
-            .find(|(_, s)| *s == shard)
-            .map(|(r, _)| r)
+        let i = self
+            .by_shard
+            .binary_search_by_key(&shard, |(s, _)| *s)
+            .ok()?;
+        let (_, idx) = self.by_shard.get(i)?;
+        self.entries.get(*idx as usize).map(|(r, _)| r)
     }
 
     /// The largest shard id in the spec (for minting child ids).
@@ -782,5 +857,113 @@ mod tests {
             .merge_shards(ShardId(0), ShardId(2), ShardId(9))
             .is_err());
         assert_eq!(spec3.max_shard_id(), Some(ShardId(2)));
+    }
+
+    #[test]
+    fn prefix64_preserves_order() {
+        let keys: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0, 1],
+            b"abc".to_vec(),
+            b"abcdefgh".to_vec(),
+            b"abcdefghi".to_vec(),
+            vec![0xff; 12],
+        ];
+        for a in &keys {
+            for b in &keys {
+                if prefix64(a) < prefix64(b) {
+                    assert!(a < b, "{a:?} {b:?}");
+                }
+                if a <= b {
+                    assert!(prefix64(a) <= prefix64(b), "{a:?} {b:?}");
+                }
+            }
+        }
+    }
+
+    /// A splitmix64 stream: seeded test data without a dependency.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    /// A uniform spec, one split of it, and a merge of the split's
+    /// children under a fresh id (shard ids out of key order).
+    fn uniform_split_and_merged() -> Vec<ShardingSpec> {
+        let uniform = ShardingSpec::uniform_u64(37);
+        let at = uniform.range_of(ShardId(11)).unwrap().midpoint().unwrap();
+        let split = uniform
+            .split_shard(ShardId(11), &at, ShardId(40), ShardId(38))
+            .unwrap();
+        let merged = split
+            .merge_shards(ShardId(40), ShardId(38), ShardId(3_000))
+            .unwrap();
+        vec![uniform, split, merged]
+    }
+
+    #[test]
+    fn range_of_index_agrees_with_a_linear_scan() {
+        for spec in uniform_split_and_merged() {
+            let top = spec.max_shard_id().unwrap().0;
+            for shard in (0..=top + 2).map(ShardId) {
+                let linear = spec.iter().find(|(_, s)| *s == shard).map(|(r, _)| r);
+                assert_eq!(spec.range_of(shard), linear, "{shard}");
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_search_agrees_with_partition_point() {
+        // Bounds that tie on their first eight bytes, with a gap.
+        let bounds: [&[u8]; 7] = [
+            b"",
+            b"abcdefgh",
+            b"abcdefgh\0",
+            b"abcdefghij",
+            b"abcdefgi",
+            b"b\xff\xff\xff\xff\xff\xff\xff",
+            b"b\xff\xff\xff\xff\xff\xff\xff\x01",
+        ];
+        let mut ranges: Vec<(KeyRange, ShardId)> = bounds
+            .windows(2)
+            .zip(0u64..)
+            .map(|(w, i)| {
+                (
+                    KeyRange::new(AppKey::new(w[0]), AppKey::new(w[1])),
+                    ShardId(i),
+                )
+            })
+            .collect();
+        ranges.push((KeyRange::from(AppKey::new(b"c".to_vec())), ShardId(99)));
+        let mut specs = uniform_split_and_merged();
+        specs.push(ShardingSpec::new(ranges).unwrap());
+
+        let alphabet = [0u8, 1, b'a', b'b', b'c', b'g', b'h', b'i', 0xfe, 0xff];
+        let mut next = stream(0x5eed_0014);
+        for spec in &specs {
+            let mut keys: Vec<AppKey> = spec.iter().map(|(r, _)| r.start.clone()).collect();
+            for _ in 0..4_000 {
+                let len = (next() % 18) as usize;
+                let bytes = (0..len)
+                    .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                    .collect::<Vec<u8>>();
+                keys.push(AppKey::new(bytes));
+                keys.push(AppKey::from_u64(next()));
+            }
+            for key in &keys {
+                let idx = spec.entries.partition_point(|(r, _)| r.start <= *key);
+                let want = idx
+                    .checked_sub(1)
+                    .map(|i| &spec.entries[i])
+                    .and_then(|(r, s)| r.contains(key).then_some(*s));
+                assert_eq!(spec.shard_for(key), want, "key {key}");
+            }
+        }
     }
 }

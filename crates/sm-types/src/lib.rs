@@ -20,8 +20,8 @@ pub mod policy;
 pub mod topology;
 
 pub use assignment::{
-    Assignment, DenseShardTable, ReplicaAssignment, ReplicaSpan, ShardMap, ShardMapEntry,
-    NO_PRIMARY,
+    Assignment, DenseShardTable, ReplicaAssignment, ReplicaSpan, ShardEntries, ShardMap,
+    ShardMapEntry, NO_PRIMARY,
 };
 pub use error::SmError;
 pub use ids::{

@@ -64,8 +64,8 @@ done
 step "bench gates (recorded router + simulator floors)"
 cargo test --test bench_router --test bench_sim -q
 
-step "scaling gates (drain planning ratio, allocations per map install)"
-cargo test --test drain_scaling --test install_allocs -q
+step "scaling gates (drain planning ratio, allocations per map publish and install)"
+cargo test --test drain_scaling --test map_publish_allocs --test install_allocs -q
 
 step "queue differential gate (calendar vs heap, byte-identical runs)"
 cargo test --release --test sim_queue_diff -q
